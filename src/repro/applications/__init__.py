@@ -1,21 +1,12 @@
-"""Applications of the ME-HPT hashing techniques beyond page tables.
+"""Applications of hashing beyond page tables.
 
-Section VIII argues the four techniques generalise to other multi-way
-hash structures; Section IX compares against Level Hashing.  This
-package provides working instances of each:
+Section IX compares ME-HPT against Level Hashing:
 
-* :mod:`repro.applications.kvstore` — an in-memory key-value store on
-  the elastic cuckoo engine with chunked storage and per-way/in-place
-  resizing (the "Key-Value Stores" paragraph).
-* :mod:`repro.applications.directory` — a cuckoo coherence directory
-  with per-way resizing (the "Scalable Secure Directories" paragraph).
 * :mod:`repro.applications.level_hashing` — a faithful Level Hashing
   table for the Section IX comparison: ~1/3 of entries moved per resize
   but 4 probes per lookup, versus ME-HPT's 1/2 moves at W probes.
 """
 
-from repro.applications.directory import CuckooDirectory
-from repro.applications.kvstore import MemEfficientKVStore
 from repro.applications.level_hashing import LevelHashTable
 
-__all__ = ["MemEfficientKVStore", "CuckooDirectory", "LevelHashTable"]
+__all__ = ["LevelHashTable"]

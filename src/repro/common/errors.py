@@ -123,3 +123,33 @@ class TraceFormatError(MEHPTError):
 
 class SimulationError(MEHPTError):
     """The trace-driven simulator reached an inconsistent state."""
+
+
+class EngineDivergenceError(SimulationError):
+    """The vectorized engine's static prediction disagreed with the simulator.
+
+    The engine decides each access's page size (and, for radix, whether
+    it faults) before running it, then the kernel's fault handler and
+    the walkers confirm the decision.  A mismatch means the engine's
+    counters would be wrong, so it raises instead of finishing silently.
+    ``context`` carries ``vpn``, ``predicted``, ``actual`` and
+    ``organization``.
+    """
+
+    def __init__(self, vpn: int, predicted: str, actual: str, organization: str) -> None:
+        super().__init__(
+            f"vectorized engine diverged at VPN {vpn:#x} ({organization}): "
+            f"predicted {predicted}, actual {actual}",
+            vpn=vpn,
+            predicted=predicted,
+            actual=actual,
+            organization=organization,
+        )
+
+    def __reduce__(self):
+        context = self.context
+        return (
+            type(self),
+            (context["vpn"], context["predicted"], context["actual"],
+             context["organization"]),
+        )

@@ -12,7 +12,9 @@ page-table organizations and classifies what each one did:
 * ``non_graceful`` — any other exception: the exact bug class the
   fuzzer exists to find;
 * ``divergence`` — the scalar and vectorized engines disagreed on the
-  same trace;
+  same trace, or the vectorized engine's static prediction disagreed
+  with the simulator
+  (:class:`~repro.common.errors.EngineDivergenceError`);
 * ``cycle_blowup`` — the run completed but spent more than
   ``scenario.blowup_threshold`` times the radix baseline's cycles per
   access.
@@ -34,7 +36,11 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import (
+    ConfigurationError,
+    EngineDivergenceError,
+    SimulationError,
+)
 from repro.fuzz.scenario import Scenario
 from repro.sim.config import ORGANIZATIONS
 from repro.sim.results import PerformanceResult
@@ -169,6 +175,10 @@ def run_org(
         result = _run_engine(
             scenario, organization, trace_path, trace_length, "auto"
         )
+    except EngineDivergenceError as exc:
+        return OrgOutcome(
+            organization, CLASS_DIVERGENCE, failed=True, detail=repr(exc),
+        )
     except SimulationError as exc:
         return OrgOutcome(
             organization, CLASS_INVARIANT, failed=True, detail=repr(exc),
@@ -215,6 +225,10 @@ def run_org(
             vectorized = _run_engine(
                 scenario, organization, trace_path, trace_length, "vectorized"
             )
+        except EngineDivergenceError as exc:
+            outcome.failure_class = CLASS_DIVERGENCE
+            outcome.detail = repr(exc)
+            return outcome
         except SimulationError as exc:
             outcome.failure_class = CLASS_INVARIANT
             outcome.detail = repr(exc)

@@ -14,9 +14,6 @@ factors it (Sections II-B and IV):
   (ECPT) and in-place resizes with the one-extra-hash-bit rule (ME-HPT).
 * :mod:`repro.hashing.policies` — when/what to resize: all-way (ECPT) or
   per-way with the balance rule and weighted-random insertion (ME-HPT).
-
-The same machinery also backs the Section VIII generalisations in
-:mod:`repro.applications` (key-value store, coherence directory).
 """
 
 from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay, TableStats

@@ -40,7 +40,7 @@ class ChunkBudget:
     """Interface limiting how many chunks a chunked storage may hold.
 
     The ME-HPT L2P subtable (:class:`repro.core.l2p.L2PSubtable`)
-    implements this; generic users (e.g. the key-value store) can use
+    implements this; storages with no budget use
     :class:`UnlimitedChunkBudget`.
     """
 

@@ -33,7 +33,9 @@ staying *bit-identical* to the scalar walkers:
 Accesses that mutate simulator state — demand faults, and everything
 they trigger (cuckoo kicks, resizes, CWT updates, allocation) — are not
 batched: the engine replays them through the real fault handler in
-global trace order between segments.
+global trace order between segments.  A plan that finds the live tables
+disagreeing with the engine's static prediction raises
+:class:`~repro.common.errors.EngineDivergenceError`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, EngineDivergenceError
 from repro.common.units import CACHE_LINE
 from repro.ecpt.walker import EcptWalker, _PROBE_ORDER
 from repro.mem.cache import CacheHierarchy
@@ -178,8 +180,8 @@ class NumaCacheBatch(CacheBatch):
     metric snapshots are taken after the final write-back).
 
     Requires an integer ``remote_dram_delta`` (per-line latencies stay
-    int64 and batched sums stay exact); the engine selection layer
-    falls back to the scalar loop otherwise.
+    int64 and batched sums stay exact); the datacenter simulator runs
+    scalar quanta otherwise.
     """
 
     def __init__(self, hierarchy) -> None:
@@ -256,10 +258,11 @@ class HptWalkBatch:
     candidate-size group; per-walk latency is ``cwc + max(cwt lines) +
     max(probe lines) + extra`` exactly as in the scalar walker."""
 
-    def __init__(self, walker: EcptWalker, caches: CacheBatch, sizes: List[str]) -> None:
+    def __init__(self, walker: EcptWalker, caches: CacheBatch, sizes: List[str], org: str) -> None:
         self.walker = walker
         self.caches = caches
         self.sizes = sizes
+        self.organization = org
         self.tables = walker.tables
         self._segment: List[tuple] = []
         self._reset_pending()
@@ -301,9 +304,8 @@ class HptWalkBatch:
                     hit_size = page_size
                     break
         fault = hit_size is None
-        assert fault or hit_size == self.sizes[code], (
-            "static page-size prediction diverged from the batched walker"
-        )
+        if not fault and hit_size != self.sizes[code]:
+            raise EngineDivergenceError(vpn, self.sizes[code], hit_size, self.organization)
         self._segment.append(
             (local, walk_id, vpn, tuple(candidate_sizes), cwt_lines, extra, fault)
         )
@@ -425,8 +427,7 @@ class HptWalkBatch:
             + np.asarray(self._extras, dtype=np.int64)
         )
         accesses = n_cwt + n_probe
-        result = self._finish(cycles, accesses)
-        return result
+        return self._finish(cycles, accesses)
 
     def _finish(self, cycles: np.ndarray, accesses: np.ndarray) -> WalkFlush:
         walker = self.walker
@@ -457,10 +458,11 @@ class RadixWalkBatch(HptWalkBatch):
     is sequential, unlike the HPT's parallel probes.
     """
 
-    def __init__(self, walker: RadixWalker, caches: CacheBatch, sizes: List[str]) -> None:
+    def __init__(self, walker: RadixWalker, caches: CacheBatch, sizes: List[str], org: str) -> None:
         self.walker = walker
         self.caches = caches
         self.sizes = sizes
+        self.organization = org
         self.table = walker.table
         self.levels = self.table.levels
         self._page_shift = [PAGE_SIZE_BITS[s] for s in sizes]
@@ -488,7 +490,7 @@ class RadixWalkBatch(HptWalkBatch):
         ever mapped by the fault handler, so an access faults iff it is
         the first touch of its (page size, page number) — tracked in
         per-size seen-sets.  Every prior fault's mapped size was
-        asserted against the static prediction, so a predicted
+        checked against the static prediction, so a predicted
         non-faulting walk's depth is exactly ``_leaf_depth(predicted
         size)``.
         """
@@ -502,7 +504,8 @@ class RadixWalkBatch(HptWalkBatch):
         if fault:
             seen.add(key)
             leaf, fault_lines = self.table.walk(vpn)
-            assert leaf is None, "fault prediction diverged: page already mapped"
+            if leaf is not None:
+                raise EngineDivergenceError(vpn, "fault", "mapped", self.organization)
             depth = len(fault_lines)
         else:
             depth = self._depth_for_code[code]
@@ -513,7 +516,11 @@ class RadixWalkBatch(HptWalkBatch):
 
     def _resolve(self, depth: int, prefix: int) -> int:
         node = self.table.node_for_prefix(prefix, depth)
-        assert node is not None, "radix node prediction diverged from the table"
+        if node is None:
+            raise EngineDivergenceError(
+                prefix << ((self.levels - depth) * LEVEL_BITS),
+                f"depth-{depth} node", "none", self.organization,
+            )
         base = node.addr // CACHE_LINE
         self._memo[depth][prefix] = base
         return base
@@ -609,22 +616,28 @@ class RadixWalkBatch(HptWalkBatch):
 
 
 def make_walk_batch(system, sizes: List[str], caches: Optional[CacheBatch] = None):
-    """Build the walk batcher for ``system``, or None when the walker or
-    cache geometry has no batched implementation (the engine then falls
-    back to the scalar walker per miss — still exact, just slower).
+    """Build the Plan/Seal/Flush batcher for ``system``'s walker.
+
+    The vectorized engine's only walk path: every walker and cache
+    hierarchy :meth:`~repro.sim.config.SimulationConfig.build` produces
+    is batched, so there is no per-miss scalar fallback; a walker (or
+    cache geometry) it cannot batch raises
+    :class:`~repro.common.errors.ConfigurationError`.
 
     ``caches`` lets callers share one cache mirror across several
-    batchers — the datacenter quantum engine passes a single
-    :class:`NumaCacheBatch` over the machine-wide hierarchy so the
-    shared LLC state evolves in global quantum order."""
+    batchers — the datacenter passes a single :class:`NumaCacheBatch`
+    over the machine-wide hierarchy so the shared LLC state evolves in
+    global quantum order."""
     walker = system.walker
-    if caches is None:
-        try:
-            caches = CacheBatch(walker.caches)
-        except (AttributeError, ConfigurationError):
-            return None
     if isinstance(walker, EcptWalker):
-        return HptWalkBatch(walker, caches, sizes)
-    if isinstance(walker, RadixWalker):
-        return RadixWalkBatch(walker, caches, sizes)
-    return None
+        batch_cls = HptWalkBatch
+    elif isinstance(walker, RadixWalker):
+        batch_cls = RadixWalkBatch
+    else:
+        raise ConfigurationError(
+            f"no batched walk implementation for {type(walker).__name__}",
+            walker=type(walker).__name__,
+        )
+    if caches is None:
+        caches = CacheBatch(walker.caches)
+    return batch_cls(walker, caches, sizes, system.config.organization)

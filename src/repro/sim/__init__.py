@@ -5,8 +5,10 @@
   for any organization at any footprint scale.
 * :mod:`repro.sim.simulator` — the per-access simulation loop and the
   footprint populator used by the memory experiments.
-* :mod:`repro.sim.fastpath` — the vectorized batched engine
-  (bit-identical results, selected via ``SimulationConfig.engine``).
+* :mod:`repro.sim.quantum` — the vectorized batched engine core
+  (bit-identical results, selected via ``SimulationConfig.engine``),
+  driven per quantum by the multi-process and datacenter simulators;
+* :mod:`repro.sim.fastpath` — its single-process trace-replay driver.
 * :mod:`repro.sim.results` — result containers, the differential
   performance model (cycles per access), and speedup computation.
 """

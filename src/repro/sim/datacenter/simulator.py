@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError, MEHPTError
+from repro.common.errors import ConfigurationError, EngineDivergenceError, MEHPTError
 from repro.common.units import CACHE_LINE, MB, PAGE_4K
 from repro.kernel.context import ContextSwitchModel
 from repro.kernel.process import Process
@@ -310,28 +310,13 @@ class DatacenterSimulator:
         return tenant
 
     def _attach_engine(self, tenant: Tenant) -> None:
-        """Give the tenant a vectorized engine over the shared cache mirror.
-
-        The organization (and thus walker geometry) is uniform across
-        tenants, so an unsupported walker trips at the *first* spawn —
-        before any quantum has run — and demotes the whole run to
-        scalar quanta.
-        """
+        """Give the tenant a vectorized engine over the shared cache mirror."""
         if self._cache_batch is None:
-            try:
-                self._cache_batch = NumaCacheBatch(self.caches)
-            except ConfigurationError:
-                self._engine_mode = "scalar"
-                return
-        engine = QuantumEngine(
+            self._cache_batch = NumaCacheBatch(self.caches)
+        tenant.engine = QuantumEngine(
             tenant.process, tenant.system,
             caches=self._cache_batch, machine=self.machine,
         )
-        if not engine.supported:
-            self._engine_mode = "scalar"
-            self._cache_batch = None
-            return
-        tenant.engine = engine
 
     def _emit_lifecycle(self, tenant: Tenant, phase: str, **extra) -> None:
         if self.obs is not None:
@@ -564,6 +549,8 @@ class DatacenterSimulator:
                         and step % self.params.rebalance_every == 0
                     ):
                         self._rebalance()
+        except EngineDivergenceError:
+            raise  # an engine defect, not a model failure
         except MEHPTError as exc:
             self.failed = True
             self.failure_reason = f"{type(exc).__name__}: {exc}"

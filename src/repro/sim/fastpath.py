@@ -1,45 +1,23 @@
-"""The vectorized batched translation engine (the simulation fast path).
+"""Single-process trace replay on the vectorized engine.
 
-:func:`run_vectorized` replays a trace through the TLB hierarchy in
-numpy chunks instead of one Python int at a time.  Per chunk it decides
-— exactly, via :class:`~repro.mmu.tlb_array.ArrayTlb`'s offline LRU
-computation — which accesses hit L1 (zero cycles), which hit L2, and
-which are full misses.  The misses are then *batch-walked*
-(:mod:`repro.mmu.walk_batch`): per fault-separated segment the walkers'
-cache-line streams are resolved with vectorized gathers (cuckoo-way
-addresses, radix node memos) and probed against array mirrors of the
-cache hierarchy; only accesses that mutate simulator state — demand
-faults, with their kicks, resizes and allocations — run through the
-real fault handler, in global trace order.  Results are
-**bit-identical** to
-:class:`~repro.sim.simulator.TranslationSimulator`'s scalar loop: every
-``PerformanceResult`` field, every TLB/cache/walker counter, metrics
-snapshots, abort/warmup accounting, and — when a trace sink is attached
-— the traced event stream byte-for-byte (property-tested in
+:func:`run_vectorized` is the single-process driver of the one
+vectorized core, :class:`~repro.sim.quantum.QuantumEngine` (whose module
+docstring explains the batching and why it is exact); the other driver
+is the scheduler's per-quantum
+:meth:`~repro.sim.quantum.QuantumEngine.run_quantum`.  It streams
+``workload.trace_chunks`` into
+:meth:`~repro.sim.quantum.QuantumEngine.run_chunk` — the trace is never
+materialized — and adds only what single-process replay needs on top:
+the warmup snapshot, the ``invariant_check_every`` cadence, traced event
+synthesis, and the conversion of ``ABORT_ERRORS`` into a
+:class:`~repro.sim.simulator.LoopOutcome`.  Results are **bit-identical**
+to :class:`~repro.sim.simulator.TranslationSimulator`'s scalar loop:
+every ``PerformanceResult`` field, every TLB/cache/walker counter,
+metrics snapshots, abort/warmup accounting, and — when a trace sink is
+attached — the traced event stream byte-for-byte (property-tested in
 ``tests/test_sim_fastpath.py`` and ``tests/test_obs_trace_equivalence.py``).
 
-What makes exactness possible:
-
-* Every completed access leaves its tag at the MRU position of the TLBs
-  of its resolved page size, so per-chunk hit levels are a pure function
-  of the VPN stream (see :mod:`repro.mmu.tlb_array`).  The same
-  invariant holds for cache-hierarchy lines, which is what lets the
-  batched walker mirror the caches as arrays.
-* THP page-size decisions are stateless and per-2MB-region consistent
-  (:meth:`~repro.kernel.thp.ThpPolicy.page_size_for` plus the VMA clip
-  in :meth:`~repro.kernel.address_space.AddressSpace.handle_fault`), so
-  each access's resolved size is computed up front by
-  :class:`StaticThpSizer` and the chunk splits into independent per-size
-  probe streams.
-* Faults are the only operations that mutate page tables, cuckoo
-  geometry or CWT contents, so between faults the walk batcher can
-  resolve line addresses for many walks at once; the cache hierarchy is
-  touched by nothing but walks, so its probes can be deferred across
-  fault boundaries and batched per chunk.
-* Cycle totals are integer-valued floats below 2**53, so batched sums
-  equal the scalar engine's one-by-one accumulation exactly.
-
-Event tracing composes with this engine: the scalar engine's per-access
+Event tracing composes with the engine: the scalar engine's per-access
 events (``walk_start``/``walk_end``/``tlb_miss``/``measure_start``) are
 synthesized from the batch results in per-access order with the exact
 scalar clock values, while fault-path events (``fault_serviced``,
@@ -48,122 +26,139 @@ machinery.  The synthesized emit-call sequence equals the scalar
 engine's, so per-kind sampling counters, sequence numbers and therefore
 the JSONL/ring-buffer output are byte-identical.
 
-Ordering contract for invariant checks (satellite of PR 7): the scalar
-engine checks invariants after every ``invariant_check_every``-th
-access; this engine performs the same *set* of checks against the same
-page-table states — faults are the only mutations and checks are
-caught up before each fault and at chunk end — so any check that fails
-in one engine fails in the other with the same ``progress`` value.  The
-only divergence is *when* a failing check raises relative to hit-only
-accesses between two faults: the vectorized engine may execute those
-accesses (and, when tracing, emit later walks' events) before the
-deferred check fires.  Counters and traces of *completed* runs are
-unaffected; only the partial state observed after an uncaught
-``SimulationError`` differs.
+Ordering contract for invariant checks: the scalar engine checks
+invariants after every ``invariant_check_every``-th access; this engine
+performs the same *set* of checks against the same page-table states —
+faults are the only mutations and checks are caught up before each
+fault and at chunk end — so any check that fails in one engine fails in
+the other with the same ``progress`` value.  The only divergence is
+*when* a failing check raises relative to hit-only accesses between two
+faults: the vectorized engine may execute those accesses (and, when
+tracing, emit later walks' events) before the deferred check fires.
+Counters and traces of *completed* runs are unaffected; only the
+partial state observed after an uncaught ``SimulationError`` differs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.common.errors import ContiguousAllocationError
 from repro.faults.log import EVENT_ABORT
-from repro.hashing.clustered import PAGE_SHIFT
-from repro.hashing.hashes import mix64_array
-from repro.kernel.address_space import AddressSpace
-from repro.kernel.thp import PAGES_PER_2M, REGION_SHIFT
-from repro.mmu.tlb_array import ArrayTlb
-from repro.mmu.walk_batch import make_walk_batch
 from repro.obs.trace import (
     EVENT_MEASURE_START,
     EVENT_TLB_MISS,
     EVENT_WALK_END,
     EVENT_WALK_START,
 )
+from repro.sim.quantum import QuantumEngine, StaticThpSizer, make_walk_batch
 from repro.sim.simulator import (
     ABORT_ERRORS,
     LoopOutcome,
     check_system_invariants,
 )
 
+__all__ = ["DEFAULT_CHUNK_VALUES", "StaticThpSizer", "make_walk_batch", "run_vectorized"]
+
 #: Default trace events per engine chunk.
 DEFAULT_CHUNK_VALUES = 65536
 
-_REGION_SHIFT = REGION_SHIFT
+
+class _InvariantCadence:
+    """``check_system_invariants`` at every ``every``-th event index."""
+
+    def __init__(self, system, every: int) -> None:
+        self.system = system
+        self.every = every
+        self.next = every
+
+    def through(self, index: int) -> None:
+        """Run every check due at or before global event ``index``."""
+        while self.next <= index:
+            check_system_invariants(self.system, self.next)
+            self.next += self.every
 
 
-class StaticThpSizer:
-    """Vectorized, exact replica of the kernel's page-size decision.
+class _EventSynthesizer:
+    """The scalar loop's per-access events, rebuilt from batch results.
 
-    ``ThpPolicy.page_size_for`` is a pure function of the 2MB region
-    number, and ``AddressSpace.handle_fault`` clips 2MB mappings to 4KB
-    unless some VMA fully covers the region — also a pure region-level
-    predicate (VMAs never change mid-run and cannot overlap).  So every
-    access's resolved page size is known before simulation, which is
-    what lets the engine split a chunk into per-size probe streams.
+    Events of access i carry the clock at the access's start: the
+    cumulative translation cycles through access i-1, exactly as the
+    scalar loop stamps them.  ``_folded`` tracks how far the chunk's
+    per-access cycle prefix sum has been folded in; cycles of batched
+    walks are final before any event referencing them is emitted (the
+    engine's drain scatters them first).
     """
 
-    def __init__(self, aspace: AddressSpace, probe_sizes: List[str]) -> None:
-        thp = aspace.thp
-        self.enabled = thp.enabled and thp.coverage > 0.0 and "2M" in probe_sizes
-        self.seed = thp.seed
-        self.coverage = thp.coverage
-        self.code_2m = probe_sizes.index("2M") if self.enabled else 0
-        self._vmas = [(vma.start_vpn, vma.end_vpn) for vma in aspace.vmas]
+    def __init__(self, engine: QuantumEngine, obs, warmup_events: int) -> None:
+        self.engine = engine
+        self.obs = obs
+        self.warmup_events = warmup_events
+        # When warmup_events == 0 the simulator emits measure_start itself.
+        self.measure_emitted = warmup_events == 0
+        self.start_chunk(0, 0.0)
 
-    def codes(self, chunk: np.ndarray) -> np.ndarray:
-        """Per-access probe-stream codes (indices into the probe order)."""
-        codes = np.zeros(chunk.size, dtype=np.int64)
-        if not self.enabled:
-            return codes
-        regions = chunk >> np.int64(_REGION_SHIFT)
-        uniq, inverse = np.unique(regions, return_inverse=True)
-        # The policy's deterministic per-region coin, bit-exactly.
-        draw = (mix64_array(uniq, self.seed) >> np.uint64(11)).astype(
-            np.float64
-        ) / float(1 << 53)
-        backed = draw < self.coverage
-        base = uniq << np.int64(_REGION_SHIFT)
-        covered = np.zeros(uniq.size, dtype=bool)
-        for start, end in self._vmas:
-            covered |= (base >= start) & (base + PAGES_PER_2M <= end)
-        codes[(backed & covered)[inverse]] = self.code_2m
-        return codes
+    def start_chunk(self, base: int, before_cycles: float) -> None:
+        self.boundary_local = self.warmup_events - 1 - base
+        self.before_cycles = before_cycles
+        self._folded = 0
+        self._folded_cycles = 0.0
+
+    def _clock_before(self, local: int) -> int:
+        if local > self._folded:
+            cycles = self.engine.cycles
+            self._folded_cycles += float(cycles[self._folded:local].sum())
+            self._folded = local
+        return int(self.before_cycles + self._folded_cycles)
+
+    def _measure_before(self, local: int) -> None:
+        # The scalar loop emits measure_start right after the
+        # warmup-completing access; replicate it before emitting any
+        # later access's events (hit-only accesses emit nothing, so
+        # this preserves the exact event sequence).
+        if not self.measure_emitted and self.boundary_local < local:
+            self.obs.advance_clock(self._clock_before(self.boundary_local + 1))
+            self.obs.emit(EVENT_MEASURE_START, event=self.warmup_events)
+            self.measure_emitted = True
+
+    def on_walks(self, result) -> None:
+        obs = self.obs
+        probe_cycles = self.engine.l2_probe_cycles
+        for j in range(result.locals_.size):
+            local = int(result.locals_[j])
+            vpn = result.vpns[j]
+            walk_id = result.walk_ids[j]
+            walk_cycles = int(result.cycles[j])
+            self._measure_before(local)
+            obs.advance_clock(self._clock_before(local))
+            obs.emit(EVENT_WALK_START, walk=walk_id, vpn=vpn)
+            obs.emit(
+                EVENT_WALK_END, walk=walk_id, cycles=walk_cycles,
+                accesses=int(result.accesses[j]),
+            )
+            obs.emit(
+                EVENT_TLB_MISS, vpn=vpn,
+                level="fault" if result.faults[j] else "walk",
+                cycles=probe_cycles + walk_cycles,
+            )
+
+    def end_chunk(self, n: int, total_cycles: float) -> None:
+        # measure_start for a warmup boundary inside a hit-only chunk
+        # tail, then the scalar loop's end-of-access clock.
+        self._measure_before(n)
+        self.obs.advance_clock(int(total_cycles))
 
 
-def _apply_counters(
-    tlb, sizes: List[str], level: np.ndarray, stream: np.ndarray
+def _warm_snapshot(
+    outcome: LoopOutcome, before: Tuple, engine: QuantumEngine, prefix: int
 ) -> None:
-    """Add one (possibly partial) chunk's TLB counters, exactly.
-
-    ``level`` holds each access's resolution (0 = L1 hit, 1 = L2 hit,
-    2 = walk, 3 = fault) and ``stream`` its page-size probe code.  The
-    scalar probe cascade determines which TLBs each access touched: an
-    access resolving at level L in stream s probes every earlier-order
-    TLB of its resolving level (misses) and all TLBs of lower levels.
-    """
-    nsizes = len(sizes)
-    joint = np.bincount(
-        level.astype(np.int64) * nsizes + stream, minlength=4 * nsizes
-    ).reshape(4, nsizes)
-    per_level = joint.sum(axis=1)
-    n = int(level.size)
-    ge1 = n - int(per_level[0])
-    ge2 = int(per_level[2] + per_level[3])
-    for order, size in enumerate(sizes):
-        l1 = tlb.l1[size]
-        l2 = tlb.l2[size]
-        l1.hits += int(joint[0, order])
-        l1.misses += int(joint[0, order + 1:].sum()) + ge1
-        l2.hits += int(joint[1, order])
-        l2.misses += int(joint[1, order + 1:].sum()) + ge2
-    tlb.translations += n
-    tlb.l1_hits += int(per_level[0])
-    tlb.l2_hits += int(per_level[1])
-    tlb.walks += ge2
-    tlb.faults += int(per_level[3])
+    """Record the warmup boundary from a chunk's first ``prefix`` accesses."""
+    level = engine.level[:prefix]
+    outcome.warm_cycles = before[0] + float(engine.cycles[:prefix].sum())
+    outcome.warm_l1 = before[1] + int((level == 0).sum())
+    outcome.warm_l2 = before[2] + int((level == 1).sum())
+    outcome.warm_walks = before[3] + int((level >= 2).sum())
+    outcome.warm_faults = before[4] + int((level == 3).sum())
 
 
 def run_vectorized(
@@ -173,7 +168,7 @@ def run_vectorized(
     warmup_events: int,
     chunk_values: Optional[int] = None,
 ) -> LoopOutcome:
-    """Run the trace through ``system`` with the batched engine.
+    """Run the trace through ``system`` with the vectorized engine.
 
     Mirrors the scalar loop of
     :meth:`~repro.sim.simulator.TranslationSimulator.run` exactly —
@@ -181,30 +176,17 @@ def run_vectorized(
     checks and traced events — and returns the same :class:`LoopOutcome`.
     """
     tlb = system.tlb
-    aspace = system.address_space
-    config = system.config
     obs = system.obs
-    tracer_on = obs is not None and obs.tracer is not None
-    sizes = list(tlb.l1.keys())
-    sizer = StaticThpSizer(aspace, sizes)
-    shifts = [PAGE_SHIFT[size] for size in sizes]
-    l2_hit_cycles = [tlb.l2[size].hit_cycles for size in sizes]
-    l2_probe_cycles = tlb.l2_miss_probe_cycles
-    l1_arr: Dict[str, ArrayTlb] = {
-        size: ArrayTlb.from_tlb(t) for size, t in tlb.l1.items()
-    }
-    l2_arr: Dict[str, ArrayTlb] = {
-        size: ArrayTlb.from_tlb(t) for size, t in tlb.l2.items()
-    }
-    batcher = make_walk_batch(system, sizes)
-    walk_fn = system.walker.walk
-    fault_fn = aspace.handle_fault
-    check_every = config.invariant_check_every
-    next_check = check_every
+    engine = QuantumEngine(None, system)
+    check_every = system.config.invariant_check_every
+    if check_every:
+        engine.checks = _InvariantCadence(system, check_every)
+    events = None
+    if obs is not None and obs.tracer is not None:
+        events = _EventSynthesizer(engine, obs, warmup_events)
+        engine.on_walks = events.on_walks
     boundary = warmup_events - 1  # global index completing the warmup
     warm_taken = warmup_events == 0
-    # When warmup_events == 0 the simulator emits measure_start itself.
-    measure_emitted = (not tracer_on) or warmup_events == 0
 
     outcome = LoopOutcome()
     base = 0
@@ -212,150 +194,14 @@ def run_vectorized(
         trace_length, chunk_values or DEFAULT_CHUNK_VALUES
     ):
         n = int(chunk.size)
-        before_cycles = outcome.total_cycles
-        before = (tlb.l1_hits, tlb.l2_hits, tlb.walks, tlb.faults)
-        stream = sizer.codes(chunk)
-        level = np.zeros(n, dtype=np.int8)
-        cycles = np.zeros(n, dtype=np.int64)
-        for code, size in enumerate(sizes):
-            if sizer.enabled:
-                idx = np.flatnonzero(stream == code)
-            elif code == 0:
-                idx = np.arange(n, dtype=np.int64)  # all accesses are 4K
-            else:
-                break
-            if idx.size == 0:
-                continue
-            numbers = chunk[idx] >> np.int64(shifts[code])
-            l1_hit = l1_arr[size].batch_probe(numbers)
-            l1_miss = idx[~l1_hit]
-            l2_hit = l2_arr[size].batch_probe(numbers[~l1_hit])
-            hit2 = l1_miss[l2_hit]
-            level[hit2] = 1
-            cycles[hit2] = l2_hit_cycles[code]
-            level[l1_miss[~l2_hit]] = 2
-
-        def _warm_snapshot(prefix: int) -> None:
-            """Record the warmup boundary from this chunk's prefix."""
-            outcome.warm_cycles = before_cycles + float(cycles[:prefix].sum())
-            outcome.warm_l1 = before[0] + int((level[:prefix] == 0).sum())
-            outcome.warm_l2 = before[1] + int((level[:prefix] == 1).sum())
-            outcome.warm_walks = before[2] + int((level[:prefix] >= 2).sum())
-            outcome.warm_faults = before[3] + int((level[:prefix] == 3).sum())
-
-        # -- traced-mode clock / event synthesis -------------------------
-        # Events of access i carry the clock at the access's start: the
-        # cumulative translation cycles through access i-1, exactly as
-        # the scalar loop stamps them.  ``emit_state`` tracks how far
-        # the per-access cycle prefix sum has been folded in; cycles of
-        # batched walks are final before any event referencing them is
-        # emitted (the flush scatters them first).
-        boundary_local = boundary - base
-        emit_state = [0, 0.0]  # [accesses folded into the sum, their sum]
-
-        def _clock_before(local: int) -> int:
-            if local > emit_state[0]:
-                emit_state[1] += float(cycles[emit_state[0]:local].sum())
-                emit_state[0] = local
-            return int(before_cycles + emit_state[1])
-
-        def _measure_before(local: int) -> None:
-            # The scalar loop emits measure_start right after the
-            # warmup-completing access; replicate it before emitting any
-            # later access's events (hit-only accesses emit nothing, so
-            # this preserves the exact event sequence).
-            nonlocal measure_emitted
-            if not measure_emitted and boundary_local < local:
-                obs.advance_clock(_clock_before(boundary_local + 1))
-                obs.emit(EVENT_MEASURE_START, event=warmup_events)
-                measure_emitted = True
-
-        def _emit_walk(local, walk_id, vpn, walk_cycles, accesses, is_fault):
-            _measure_before(local)
-            obs.advance_clock(_clock_before(local))
-            obs.emit(EVENT_WALK_START, walk=walk_id, vpn=vpn)
-            obs.emit(
-                EVENT_WALK_END, walk=walk_id, cycles=walk_cycles,
-                accesses=accesses,
-            )
-            obs.emit(
-                EVENT_TLB_MISS, vpn=vpn,
-                level="fault" if is_fault else "walk",
-                cycles=l2_probe_cycles + walk_cycles,
-            )
-
-        def _drain() -> None:
-            """Probe pending batched walks; scatter cycles, emit events."""
-            if batcher is None:
-                return
-            result = batcher.flush()
-            if result is None:
-                return
-            cycles[result.locals_] = l2_probe_cycles + result.cycles
-            if tracer_on:
-                for j in range(result.locals_.size):
-                    _emit_walk(
-                        int(result.locals_[j]), result.walk_ids[j],
-                        result.vpns[j], int(result.cycles[j]),
-                        int(result.accesses[j]), result.faults[j],
-                    )
-
-        aborted_at = -1
+        before = (
+            outcome.total_cycles, tlb.l1_hits, tlb.l2_hits, tlb.walks,
+            tlb.faults,
+        )
+        if events is not None:
+            events.start_chunk(base, outcome.total_cycles)
         try:
-            for local in np.flatnonzero(level >= 2).tolist():
-                index = base + local
-                while next_check and next_check < index:
-                    check_system_invariants(system, next_check)
-                    next_check += check_every
-                aborted_at = local
-                vpn = int(chunk[local])
-                code = int(stream[local])
-                if batcher is not None:
-                    if batcher.plan(local, vpn, code):
-                        # State-mutating access: seal the segment's line
-                        # addresses against the pre-fault geometry, then
-                        # run the real fault handler in trace order.
-                        # Cache probing itself only needs to happen now
-                        # when events are being synthesized.
-                        batcher.seal_segment()
-                        if tracer_on:
-                            _drain()
-                        level[local] = 3
-                        fault = fault_fn(vpn)
-                        assert fault.page_size == sizes[code], (
-                            "static page-size prediction diverged from the kernel"
-                        )
-                else:
-                    # No batched implementation for this walker/cache
-                    # geometry: scalar walker per miss, still exact.
-                    if tracer_on:
-                        _measure_before(local)
-                        obs.advance_clock(_clock_before(local))
-                    walk = walk_fn(vpn)
-                    cycles[local] = l2_probe_cycles + walk.cycles
-                    if tracer_on:
-                        obs.emit(
-                            EVENT_TLB_MISS, vpn=vpn,
-                            level="fault" if walk.fault else "walk",
-                            cycles=int(l2_probe_cycles + walk.cycles),
-                        )
-                    if walk.fault:
-                        level[local] = 3
-                        fault = fault_fn(vpn)
-                        assert fault.page_size == sizes[code], (
-                            "static page-size prediction diverged from the kernel"
-                        )
-                    elif walk.page_size is not None:
-                        assert walk.page_size == sizes[code], (
-                            "static page-size prediction diverged from the walker"
-                        )
-                if next_check and next_check == index:
-                    check_system_invariants(system, index)
-                    next_check += check_every
-            _drain()
-            while next_check and next_check <= base + n - 1:
-                check_system_invariants(system, next_check)
-                next_check += check_every
+            outcome.total_cycles += engine.run_chunk(chunk, base)
         except ABORT_ERRORS as exc:
             outcome.failed = True
             outcome.reason = str(exc)
@@ -363,52 +209,31 @@ def run_vectorized(
                 system.degradation.record(
                     EVENT_ABORT, "trace", error=type(exc).__name__,
                 )
-            # Finalize the pending batched walks (all planned at or
-            # before the aborting access) so their cycles and cache
-            # counters are exact.  In traced mode this is a no-op: the
-            # drain already ran before the fault handler raised.
-            _drain()
-            done = aborted_at + 1  # aborting access counted, not completed
+            # The engine counted the aborting access (its walk ran) but
+            # it never *completes*: the scalar loop's events_done stops
+            # just before it.  So the warmup window only closes when the
+            # boundary access lies strictly before it — one tighter than
+            # the clean path's `boundary < base + n`; an abort exactly
+            # at the boundary leaves the run inside warmup.
+            aborted_at = engine.aborted_at
             outcome.events_done = base + aborted_at
-            _apply_counters(tlb, sizes, level[:done], stream[:done])
-            outcome.total_cycles += float(cycles[:done].sum())
-            # The aborting access never *completes* (the scalar loop's
-            # events_done stops just before it), so the warmup window is
-            # only closed when the boundary access lies strictly before
-            # it — `boundary < base + aborted_at` is events_done-based,
-            # intentionally one tighter than the clean path's
-            # `boundary < base + n`.  An abort exactly at the boundary
-            # leaves the run inside warmup, as in the scalar engine.
+            outcome.total_cycles += float(engine.cycles[:aborted_at + 1].sum())
             if not warm_taken and boundary < base + aborted_at:
-                _warm_snapshot(boundary - base + 1)
-                warm_taken = True
-            if batcher is not None:
-                batcher.caches.write_back()
+                _warm_snapshot(outcome, before, engine, boundary - base + 1)
             return outcome
-
-        _apply_counters(tlb, sizes, level, stream)
-        outcome.total_cycles += float(cycles.sum())
         if not warm_taken and boundary < base + n:
-            _warm_snapshot(boundary - base + 1)
+            _warm_snapshot(outcome, before, engine, boundary - base + 1)
             warm_taken = True
-        if tracer_on:
-            # measure_start for a warmup boundary inside a hit-only
-            # chunk tail, then the scalar loop's end-of-access clock.
-            _measure_before(n)
-            obs.advance_clock(int(outcome.total_cycles))
+        if events is not None:
+            events.end_chunk(n, outcome.total_cycles)
         base += n
         outcome.events_done = base
 
-    # Clean completion: the array states are the TLB contents after the
-    # last access — install them so post-run inspection (and equivalence
+    # Clean completion: the mirrors hold the TLB contents after the last
+    # access — install them so post-run inspection (and equivalence
     # tests) see exactly what the scalar engine leaves behind.  After an
-    # abort the arrays hold full-chunk (future) state, so they are
-    # deliberately not written back; aborted runs' TLB *contents* are
-    # unspecified, their counters exact.  (The cache mirrors *are*
-    # written back on abort: they only ever advance walk by walk.)
-    for size in sizes:
-        l1_arr[size].write_back(tlb.l1[size])
-        l2_arr[size].write_back(tlb.l2[size])
-    if batcher is not None:
-        batcher.caches.write_back()
+    # abort they hold full-chunk (future) state, so they are
+    # deliberately not written back; the engine has already written
+    # back its cache mirror, which only ever advances walk by walk.
+    engine.finalize()
     return outcome

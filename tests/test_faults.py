@@ -18,6 +18,7 @@ import pytest
 from repro.common.errors import (
     ConfigurationError,
     ContiguousAllocationError,
+    EngineDivergenceError,
     OutOfMemoryError,
     SimulationError,
     TransientAllocationError,
@@ -154,6 +155,17 @@ class TestErrorRoundTrips:
         clone = pickle.loads(pickle.dumps(exc))
         assert clone.context == {"component": "cuckoo", "way": 1, "counted": 3}
         assert "component='cuckoo'" in repr(clone)
+
+    def test_engine_divergence_error_pickles(self):
+        exc = EngineDivergenceError(0x1234, "4K", "2M", "mehpt")
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is EngineDivergenceError
+        assert isinstance(clone, SimulationError)
+        assert clone.context == {
+            "vpn": 0x1234, "predicted": "4K", "actual": "2M",
+            "organization": "mehpt",
+        }
+        assert str(clone) == str(exc)
 
     def test_repr_sorts_context(self):
         exc = SimulationError("x", zebra=1, apple=2)

@@ -10,13 +10,15 @@ import dataclasses
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, EngineDivergenceError
+from repro.fuzz import runner
 from repro.fuzz.runner import (
     CLASS_ABORT_CONTIGUOUS,
     CLASS_ABORT_L2P,
     CLASS_ABORT_OTHER,
     CLASS_ABORT_TABLE_FULL,
     CLASS_CYCLE_BLOWUP,
+    CLASS_DIVERGENCE,
     CLASS_NON_GRACEFUL,
     CLASS_OK,
     CLASS_SEVERITY,
@@ -133,3 +135,27 @@ class TestPlantedFaultExecution:
         scenario = make_preset("planted-fault", seed=0)
         with pytest.raises(ConfigurationError, match="empty"):
             run_scenario(scenario, trace_path=path, orgs=("ecpt",))
+
+
+class TestEngineDivergenceClassified:
+    @pytest.mark.parametrize("engine", ["auto", "vectorized"])
+    def test_typed_divergence_is_divergence(self, engine, monkeypatch, tmp_path):
+        # Raised by the engine itself (the first run) or by the
+        # vectorized leg of the divergence check: either way it is a
+        # divergence finding, not an invariant violation.
+        real = runner._run_engine
+
+        def diverging(scenario, organization, trace_path, trace_length, which):
+            if which == engine:
+                raise EngineDivergenceError(0x1234, "4K", "2M", organization)
+            return real(scenario, organization, trace_path, trace_length, which)
+
+        monkeypatch.setattr(runner, "_run_engine", diverging)
+        scenario = make_preset("planted-fault", seed=0)
+        out = run_scenario(
+            scenario, orgs=("ecpt",), workdir=str(tmp_path),
+            check_divergence=True,
+        )
+        org = out.outcomes["ecpt"]
+        assert org.failure_class == CLASS_DIVERGENCE
+        assert "EngineDivergenceError" in org.detail

@@ -14,6 +14,7 @@ import itertools
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments import engine as engine_mod
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -23,10 +24,13 @@ from repro.experiments.runner import (
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fuzz.scenario import PRESETS
 from repro.obs import ObservabilityConfig
-from repro.sim.config import SimulationConfig
+from repro.mmu.walk_batch import HptWalkBatch, RadixWalkBatch
+from repro.sim.config import ORGANIZATIONS, SimulationConfig
 from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
+from repro.sim.fastpath import run_vectorized
 from repro.sim.multiprocess import MultiProcessSimulator
-from repro.sim.quantum import QuantumEngine
+from repro.sim.quantum import QuantumEngine, make_walk_batch
+from repro.workloads import get_workload
 
 pytestmark = [pytest.mark.fastpath, pytest.mark.datacenter]
 
@@ -281,17 +285,41 @@ class TestSweepCacheEngineIndependence:
             clear_caches()
 
 
-class TestEngineUnit:
-    def test_unsupported_geometry_reported(self):
-        # A walker with no batched implementation leaves the engine
-        # unsupported; callers must fall back to scalar quanta.
-        from repro.workloads import get_workload
+class _ScalarOnlyWalker:
+    """A walker with a scalar ``walk`` but no batched implementation."""
 
+    def __init__(self, inner):
+        self.caches = inner.caches
+        self.walk = inner.walk
+
+
+class TestEngineUnit:
+    def test_unbatched_walker_rejected(self):
+        # There is no per-miss scalar fallback: a walker without a
+        # batched implementation is a configuration error everywhere.
         config = dc_config("mehpt", engine="vectorized")
         workload = get_workload("GUPS", scale=SCALE, seed=1)
         system = config.build(workload)
-        engine = QuantumEngine(object(), system)
-        assert engine.supported  # mehpt is batched; sanity-check the API
+        system.walker = _ScalarOnlyWalker(system.walker)
+        with pytest.raises(ConfigurationError, match="_ScalarOnlyWalker"):
+            make_walk_batch(system, list(system.tlb.l1))
+        with pytest.raises(ConfigurationError):
+            QuantumEngine(None, system)
+        with pytest.raises(ConfigurationError):
+            run_vectorized(system, workload, 1_000, 0)
+
+    @pytest.mark.parametrize("thp", [False, True])
+    @pytest.mark.parametrize("organization", ORGANIZATIONS)
+    def test_every_built_system_is_batched(self, organization, thp):
+        # The evidence that the removed fallback had no input: every
+        # system SimulationConfig.build returns gets a batcher.
+        config = SimulationConfig(
+            organization=organization, scale=SCALE, thp_enabled=thp
+        )
+        system = config.build(get_workload("GUPS", scale=SCALE, seed=1))
+        batcher = make_walk_batch(system, list(system.tlb.l1))
+        assert isinstance(batcher, (HptWalkBatch, RadixWalkBatch))
+        assert batcher.organization == organization
 
     def test_finalize_is_idempotent(self):
         from repro.kernel.process import Process
@@ -310,3 +338,71 @@ class TestEngineUnit:
         state = tlb_state(system)
         engine.finalize()
         assert tlb_state(system) == state
+
+
+# Runs under ``python -O``: with asserts stripped, only a typed error can
+# stop a mispredicting engine from finishing with wrong counters.
+_MISPREDICT_SCRIPT = """
+import numpy as np
+from repro.common.errors import EngineDivergenceError
+from repro.sim.config import ORGANIZATIONS, SimulationConfig
+from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
+from repro.sim.quantum import StaticThpSizer
+from repro.sim.simulator import TranslationSimulator
+from repro.workloads import get_workload
+
+if __debug__:
+    raise SystemExit("expected python -O")
+# Predict 4KB for every access of a THP-backed workload.
+StaticThpSizer.codes = lambda self, chunk: np.zeros(chunk.size, dtype=np.int64)
+
+for org in ORGANIZATIONS:
+    config = SimulationConfig(
+        organization=org, scale=64, seed=1, thp_enabled=True,
+        engine="vectorized",
+    )
+    runs = {
+        "run_vectorized": lambda: TranslationSimulator(
+            get_workload("GUPS", scale=64, seed=1), config,
+            trace_length=4000,
+        ).run(),
+        "datacenter": lambda: DatacenterSimulator(
+            ["GUPS"], config,
+            params=DatacenterParams(sockets=2, processes=2, pool_mb=64),
+            trace_length=4000,
+        ).run(),
+    }
+    for name, run in runs.items():
+        try:
+            run()
+        except EngineDivergenceError as exc:
+            ctx = exc.context
+            print(org, name, ctx["organization"], ctx["predicted"],
+                  ctx["actual"])
+        else:
+            print(org, name, "finished silently")
+"""
+
+
+class TestEngineDivergence:
+    def test_misprediction_raises_under_optimized_python(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _MISPREDICT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = [
+            f"{org} {name} {org} 4K 2M"
+            for org in ORGANIZATIONS
+            for name in ("run_vectorized", "datacenter")
+        ]
+        assert proc.stdout.split("\n")[:-1] == expected
