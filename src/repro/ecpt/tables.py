@@ -63,6 +63,10 @@ class HashedPageTableSet:
         #: Walker-owned CWCs register here for invalidation on CWT changes.
         self.cwc_listeners: list = []
         self.peak_total_bytes = self.total_bytes()
+        #: ``allocation_stats.allocations`` when the peak was last sampled.
+        #: Page-table bytes grow only when a storage allocates, so the
+        #: peak can move only after this count has.
+        self._peak_allocations = allocation_stats.allocations
 
     # -- kernel API -------------------------------------------------------
 
@@ -95,6 +99,19 @@ class HashedPageTableSet:
             if ppn is not None:
                 return ppn, page_size
         return None
+
+    def charge_translate_lookups(self, misses: int, hits_2m: int) -> None:
+        """Count the cuckoo lookups of translations resolved without probing.
+
+        A :meth:`translate` miss looks up the 1G, 2M and 4K tables; one
+        that hits a 2MB mapping looks up 1G and 2M.  A caller that knows
+        the outcome in advance (:func:`~repro.sim.simulator.populate_tables`)
+        skips the probes and charges them here, so ``cuckoo.lookups``
+        reads as if it had made them.
+        """
+        self.tables["1G"].table.stats.lookups += misses + hits_2m
+        self.tables["2M"].table.stats.lookups += misses + hits_2m
+        self.tables["4K"].table.stats.lookups += misses
 
     # -- accounting ------------------------------------------------------
 
@@ -157,6 +174,10 @@ class HashedPageTableSet:
             table.table.check_invariants()
 
     def _track_peak(self) -> None:
+        allocations = self.allocation_stats.allocations
+        if allocations == self._peak_allocations:
+            return
+        self._peak_allocations = allocations
         total = self.total_bytes()
         if total > self.peak_total_bytes:
             self.peak_total_bytes = total

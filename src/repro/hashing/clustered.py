@@ -55,7 +55,6 @@ class ClusteredHashedPageTable:
         self.page_size = page_size
         self.table = table
         self.mapped_pages = 0
-        self.peak_bytes = table.total_bytes()
 
     # -- address math ------------------------------------------------------
 
@@ -89,7 +88,6 @@ class ClusteredHashedPageTable:
         entries[sub] = ppn
         kicks = self.table.insert(block, entries)
         self.mapped_pages += 1
-        self._track_peak()
         return MapResult(new_block=True, kicks=kicks)
 
     def unmap(self, vpn: int) -> bool:
@@ -147,11 +145,6 @@ class ClusteredHashedPageTable:
 
     def total_bytes(self) -> int:
         return self.table.total_bytes()
-
-    def _track_peak(self) -> None:
-        total = self.table.total_bytes()
-        if total > self.peak_bytes:
-            self.peak_bytes = total
 
     def occupancy(self) -> float:
         return self.table.occupancy()

@@ -275,7 +275,6 @@ class ElasticCuckooTable:
         self.inplace_enabled = inplace_enabled
         self.stats = TableStats()
         self.count = 0
-        self.peak_bytes = self.total_bytes()
         self._emergency_depth = 0
 
     # -- basic queries -------------------------------------------------
@@ -357,7 +356,6 @@ class ElasticCuckooTable:
         if self.obs is not None and kicks:
             self.obs.emit(EVENT_CUCKOO_KICK, table=self.obs_label, kicks=kicks)
         self.policy.check_resize(self)
-        self._update_peak()
         return kicks
 
     def delete(self, key: int) -> bool:
@@ -415,7 +413,6 @@ class ElasticCuckooTable:
                 self._emit_resize(
                     EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
                 )
-        self._update_peak()
 
     def start_downsize(self, way: ElasticWay) -> None:
         """Halve ``way``; in place when supported, else out of place."""
@@ -438,7 +435,6 @@ class ElasticCuckooTable:
                 self._emit_resize(
                     EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
                 )
-        self._update_peak()
 
     @staticmethod
     def _can_shrink_in_place(storage: Storage) -> bool:
@@ -696,11 +692,6 @@ class ElasticCuckooTable:
         self._emit_resize(
             EVENT_RESIZE_COMMIT, way, size=new_size, inplace=False, eager=True,
         )
-
-    def _update_peak(self) -> None:
-        total = self.total_bytes()
-        if total > self.peak_bytes:
-            self.peak_bytes = total
 
     def _notify(self, event: str, way: ElasticWay, new_size: int, inplace: bool) -> None:
         if self.observer is not None:

@@ -92,11 +92,10 @@ class AddressSpace:
     ``page_tables`` is duck-typed: radix
     (:class:`~repro.radix.table.RadixPageTable`) and hashed
     (:class:`~repro.ecpt.tables.HashedPageTableSet`) organizations both
-    provide ``map``/``translate``.  ``pt_allocation_cycles_fn`` reports
-    the organization's cumulative page-table allocation cycles so the
-    fault handler can charge deltas; pass None for organizations whose
-    allocations are folded into the fault overhead (radix: one 4KB node
-    at a time).
+    provide ``map``/``translate``.  An ``allocation_cycles()`` method, if
+    the organization has one, reports its cumulative page-table
+    allocation cycles so the fault handler can charge deltas; radix has
+    none and is charged per new 4KB node instead.
     """
 
     def __init__(
@@ -111,6 +110,9 @@ class AddressSpace:
         obs=None,
     ) -> None:
         self.page_tables = page_tables
+        #: ``page_tables.allocation_cycles`` or None, resolved once here
+        #: because every fault reads it twice.
+        self._pt_cycles_fn = getattr(page_tables, "allocation_cycles", None)
         self.thp = thp if thp is not None else ThpPolicy(enabled=False)
         self.cost_model = cost_model if cost_model is not None else AllocationCostModel()
         self.fmfi = fmfi
@@ -163,14 +165,14 @@ class AddressSpace:
         Raises :class:`SegmentationFault` outside every VMA.  Returns the
         cycle cost breakdown; the caller adds it to the faulting access.
         """
-        if self.vma_for(vpn) is None:
+        vma = self.vma_for(vpn)
+        if vma is None:
             raise SegmentationFault(f"access to unmapped vpn {vpn:#x}")
         page_size = self.thp.page_size_for(vpn)
         if page_size == "2M":
             # Clip huge mappings to the VMA: fall back to 4KB if the 2MB
             # region pokes outside it (as Linux does).
             base = self.thp.region_base(vpn)
-            vma = self.vma_for(vpn)
             if not (vma.covers(base) and vma.covers(base + PAGES_PER_2M - 1)):
                 page_size = "4K"
         map_vpn = self.thp.region_base(vpn) if page_size == "2M" else vpn
@@ -218,7 +220,7 @@ class AddressSpace:
         return fault
 
     def _pt_alloc_cycles(self) -> float:
-        cycles_fn = getattr(self.page_tables, "allocation_cycles", None)
+        cycles_fn = self._pt_cycles_fn
         return cycles_fn() if cycles_fn is not None else 0.0
 
     # -- convenience -------------------------------------------------------

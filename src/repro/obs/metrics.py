@@ -114,7 +114,8 @@ CATALOGUE: Dict[str, MetricSpec] = {
         "Insertions into one page size's cuckoo table."),
     "cuckoo.lookups": MetricSpec(
         KIND_COUNTER, "lookups", "repro.hashing.cuckoo",
-        "Lookups against one page size's cuckoo table."),
+        "Lookups against one page size's cuckoo table; populate charges "
+        "the translate lookups it skips without probing."),
     "cuckoo.rehash_steps": MetricSpec(
         KIND_COUNTER, "steps", "repro.hashing.cuckoo",
         "Gradual-rehash steps performed across all resizes."),

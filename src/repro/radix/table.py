@@ -187,6 +187,9 @@ class RadixPageTable:
             return None
         return leaf.ppn, leaf.page_size
 
+    def charge_translate_lookups(self, misses: int, hits_2m: int) -> None:
+        """Radix :meth:`translate` counts nothing, so there is nothing to charge."""
+
     def node_line_addrs(self, vpn: int) -> List[int]:
         """Just the cache-line addresses a full walk of ``vpn`` touches."""
         _leaf, lines = self.walk(vpn)

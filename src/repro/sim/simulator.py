@@ -19,6 +19,8 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.common.errors import (
     ConfigurationError,
     ContiguousAllocationError,
@@ -27,7 +29,7 @@ from repro.common.errors import (
     TableFullError,
 )
 from repro.faults.log import EVENT_ABORT
-from repro.kernel.thp import PAGES_PER_2M
+from repro.kernel.thp import REGION_SHIFT
 from repro.obs.trace import (
     EVENT_MEASURE_START,
     EVENT_RUN_END,
@@ -92,33 +94,59 @@ def check_system_invariants(system: SimulatedSystem, progress: int) -> None:
 def populate_tables(system: SimulatedSystem, progress_every: int = 0) -> None:
     """Fault every page of the workload's page set into the page tables.
 
-    Raises :class:`ContiguousAllocationError` if the organization needs a
+    Faults once per mapping unit and never looks a page up first.  The
+    page set is sorted and unique and the tables start empty, so a page
+    is already mapped exactly when it lies in the 2MB region the previous
+    fault mapped as ``"2M"`` (THP sizing and VMA clipping are per-region
+    decisions).  The lookups a translate-then-fault loop would have made
+    are still charged to the organization's counters, also when the
+    populate aborts.
+
+    Raises :class:`ConfigurationError` when the address space has already
+    serviced a fault or the page set is not strictly increasing: the
+    fault-once rule holds only for fresh tables.  Raises
+    :class:`ContiguousAllocationError` if the organization needs a
     contiguous allocation the fragmented machine cannot provide (the
     paper's ECPT failure above 0.7 FMFI).
     """
     aspace = system.address_space
-    tables = system.page_tables
-    translate = tables.translate
+    if aspace.totals.faults:
+        raise ConfigurationError(
+            "populate_tables needs fresh page tables",
+            faults=aspace.totals.faults,
+        )
+    page_set = system.workload.page_set()
+    if len(page_set) > 1 and not (np.diff(page_set) > 0).all():
+        raise ConfigurationError("populate_tables needs a sorted, unique page set")
     fault = aspace.handle_fault
     check_every = system.config.invariant_check_every
-    page_set = system.workload.page_set()
-    pages = 0
-    i = 0
     # Chunked iteration: one bulk tolist() per slice hands the loop
     # native ints without materializing a full-footprint Python list.
-    for start in range(0, len(page_set), POPULATE_CHUNK_PAGES):
-        block = page_set[start : start + POPULATE_CHUNK_PAGES]
-        for vpn in block.tolist() if hasattr(block, "tolist") else map(int, block):
-            if translate(vpn) is None:
-                fault(vpn)
+    vpns = (
+        vpn
+        for start in range(0, len(page_set), POPULATE_CHUNK_PAGES)
+        for vpn in page_set[start : start + POPULATE_CHUNK_PAGES].tolist()
+    )
+    i = -1
+    hits_2m = 0   # pages an earlier 2MB mapping already covered
+    huge_end = 0  # end of the 2MB region the last "2M" fault mapped
+    try:
+        for i, vpn in enumerate(vpns):
+            if vpn < huge_end:
+                hits_2m += 1
+            elif fault(vpn).page_size == "2M":
+                huge_end = ((vpn >> REGION_SHIFT) + 1) << REGION_SHIFT
             if check_every and i % check_every == 0 and i:
                 check_system_invariants(system, i)
             if progress_every and i % progress_every == 0 and i:
                 # logging, not print: parallel sweep workers would otherwise
                 # interleave progress lines on the shared stdout.
                 logger.info("populated %d pages...", i)
-            i += 1
-            pages = i
+    finally:
+        # Every page reached, the one that raised included, would have
+        # been translated first: a miss unless a 2MB mapping covered it.
+        pages = i + 1
+        system.page_tables.charge_translate_lookups(pages - hits_2m, hits_2m)
     if check_every:
         check_system_invariants(system, -1)
     if progress_every:

@@ -17,11 +17,14 @@ def make_contiguous_table(
     seed: int = 7,
     policy=None,
     allow_downsize: bool = True,
+    allocator=None,
 ) -> ElasticCuckooTable:
     """A small ECPT-style table: contiguous ways, all-way policy."""
     family = HashFamily(seed=seed)
     way_objs = [
-        ElasticWay(i, family.function(i), ContiguousStorage(initial_slots))
+        ElasticWay(
+            i, family.function(i), ContiguousStorage(initial_slots, allocator=allocator)
+        )
         for i in range(ways)
     ]
     if policy is None:
@@ -30,7 +33,7 @@ def make_contiguous_table(
     return ElasticCuckooTable(
         way_objs,
         policy,
-        lambda w, slots: ContiguousStorage(slots),
+        lambda w, slots: ContiguousStorage(slots, allocator=allocator),
         rng=DeterministicRng(seed + 1),
     )
 

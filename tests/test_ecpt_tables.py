@@ -4,12 +4,17 @@ import pytest
 
 from repro.common.errors import ContiguousAllocationError
 from repro.common.units import KB, MB
+from repro.core.mehpt import MeHptPageTables
 from repro.ecpt.tables import EcptPageTables
 from repro.mem.allocator import CostModelAllocator
 
 
 def make_tables(fmfi=0.3, **kwargs):
     return EcptPageTables(CostModelAllocator(fmfi=fmfi), **kwargs)
+
+
+def make_mehpt(fmfi=0.3, **kwargs):
+    return MeHptPageTables(CostModelAllocator(fmfi=fmfi), **kwargs)
 
 
 class TestKernelApi:
@@ -76,6 +81,21 @@ class TestContiguityBehaviour:
         # Out-of-place resizing keeps old+new alive: peak > final unless
         # the final state itself still holds both tables.
         assert tables.peak_total_bytes >= tables.total_bytes()
+
+    @pytest.mark.parametrize("build", [make_tables, make_mehpt])
+    def test_peak_equals_max_of_resummed_totals(self, build):
+        # The peak re-sums only when the allocator's counts move; it must
+        # equal re-summing after every map, across upsizes and downsizes.
+        tables = build(initial_slots=16)
+        expected = tables.total_bytes()
+        for round_ in range(3):
+            for i in range(3_000):
+                tables.map(0x1000 + i, i)
+                expected = max(expected, tables.total_bytes())
+                assert tables.peak_total_bytes == expected
+            for i in range(0, 3_000, 1 + round_):
+                tables.unmap(0x1000 + i)
+        assert tables.allocation_stats.frees > 0
 
 
 class TestStatistics:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.core.mehpt import MeHptPageTables
 from repro.hashing.clustered import PAGES_PER_BLOCK, ClusteredHashedPageTable
+from repro.mem.allocator import CostModelAllocator
 from tests.conftest import make_chunked_table, make_contiguous_table
 
 
@@ -95,13 +97,13 @@ class TestProbeLines:
 
 class TestAccounting:
     def test_peak_bytes_monotonic(self):
-        pt = make_pt(table=make_chunked_table(initial_slots=16))
-        last_peak = pt.peak_bytes
+        tables = MeHptPageTables(CostModelAllocator(), initial_slots=16)
+        last_peak = tables.peak_total_bytes
         for i in range(2000):
-            pt.map(0x1000 + i, i)
-            assert pt.peak_bytes >= last_peak
-            last_peak = pt.peak_bytes
-        assert pt.peak_bytes >= pt.total_bytes()
+            tables.map(0x1000 + i, i)
+            assert tables.peak_total_bytes >= last_peak
+            last_peak = tables.peak_total_bytes
+        assert tables.peak_total_bytes >= tables.total_bytes()
 
     def test_occupancy_in_range(self):
         pt = make_pt()
