@@ -49,10 +49,17 @@ class CuckooWalkTable:
         Returns True when the region's page-size *set* changed (so MMU
         caches of this entry must be invalidated).
         """
-        region = self._counts.setdefault(self._region(vpn), {})
-        changed = page_size not in region
-        region[page_size] = region.get(page_size, 0) + pages
-        return changed
+        key = vpn >> self.region_shift
+        region = self._counts.get(key)
+        if region is None:
+            self._counts[key] = {page_size: pages}
+            return True
+        count = region.get(page_size)
+        if count is None:
+            region[page_size] = pages
+            return True
+        region[page_size] = count + pages
+        return False
 
     def remove(self, vpn: int, page_size: str, pages: int = 1) -> bool:
         """Forget ``pages`` ``page_size`` mappings in ``vpn``'s region.

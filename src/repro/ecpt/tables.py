@@ -78,7 +78,8 @@ class HashedPageTableSet:
                 self._invalidate_cwcs(self.pmd_cwt, vpn)
         if self.pud_cwt.add(vpn, page_size):
             self._invalidate_cwcs(self.pud_cwt, vpn)
-        self._track_peak()
+        if self.allocation_stats.allocations != self._peak_allocations:
+            self._track_peak()
         return result
 
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:
@@ -174,10 +175,9 @@ class HashedPageTableSet:
             table.table.check_invariants()
 
     def _track_peak(self) -> None:
-        allocations = self.allocation_stats.allocations
-        if allocations == self._peak_allocations:
-            return
-        self._peak_allocations = allocations
+        """Sample the peak; :meth:`map` calls this only when the
+        allocator's ``allocations`` count has moved since the last sample."""
+        self._peak_allocations = self.allocation_stats.allocations
         total = self.total_bytes()
         if total > self.peak_total_bytes:
             self.peak_total_bytes = total

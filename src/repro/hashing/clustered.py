@@ -15,8 +15,7 @@ cuckoo table underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,12 +32,15 @@ _BLOCK_SHIFT = 3
 _BLOCK_MASK = PAGES_PER_BLOCK - 1
 
 
-@dataclass
-class MapResult:
+class MapResult(NamedTuple):
     """Outcome of mapping one page."""
 
     new_block: bool  # a new HPT line was inserted (cuckoo insertion)
     kicks: int       # cuckoo re-insertions the insertion caused
+
+
+#: The result of every map into an existing line (immutable, so shared).
+_FILLED = MapResult(new_block=False, kicks=0)
 
 
 class ClusteredHashedPageTable:
@@ -55,6 +57,14 @@ class ClusteredHashedPageTable:
         self.page_size = page_size
         self.table = table
         self.mapped_pages = 0
+        self._shift = PAGE_SHIFT[page_size]
+        #: Block number and entries list of the line :meth:`map` wrote
+        #: last (-1: none).  The list is the value object stored in the
+        #: cuckoo table, and kicks, rehashes, rollbacks and eager
+        #: migrations move its ``(key, entries)`` tuple without copying,
+        #: so it stays the live line until the block is deleted.
+        self._memo_block = -1
+        self._memo_entries: List[Optional[int]] = []
 
     # -- address math ------------------------------------------------------
 
@@ -72,23 +82,42 @@ class ClusteredHashedPageTable:
     # -- mapping ------------------------------------------------------------
 
     def map(self, vpn: int, ppn: int) -> MapResult:
-        """Map the page containing ``vpn`` to ``ppn``."""
-        if not self.aligned(vpn):
+        """Map the page containing ``vpn`` to ``ppn``.
+
+        A page in the line mapped last is filled through the memo, with
+        the cuckoo lookup it skips still counted in ``stats.lookups``.  A
+        new line is inserted without probing the ways a second time.
+        """
+        shift = self._shift
+        if vpn & ((1 << shift) - 1):
             raise ConfigurationError(
                 f"vpn {vpn:#x} is not {self.page_size}-aligned"
             )
-        block, sub = self._split(vpn)
-        entries = self.table.lookup(block)
-        if entries is not None:
-            if entries[sub] is None:
+        page = vpn >> shift
+        block = page >> _BLOCK_SHIFT
+        sub = page & _BLOCK_MASK
+        if block == self._memo_block:
+            entries = self._memo_entries
+            self.table.stats.lookups += 1
+        else:
+            entries = self.table.lookup(block)
+            if entries is None:
+                entries = [None] * PAGES_PER_BLOCK
+                entries[sub] = ppn
+                self._memo_block = -1
+                # A failed insert can leave any line, this one included,
+                # out of the table; the memo is set only after success.
+                kicks = self.table.insert_new(block, entries)
+                self._memo_block = block
+                self._memo_entries = entries
                 self.mapped_pages += 1
-            entries[sub] = ppn
-            return MapResult(new_block=False, kicks=0)
-        entries = [None] * PAGES_PER_BLOCK
+                return MapResult(new_block=True, kicks=kicks)
+            self._memo_block = block
+            self._memo_entries = entries
+        if entries[sub] is None:
+            self.mapped_pages += 1
         entries[sub] = ppn
-        kicks = self.table.insert(block, entries)
-        self.mapped_pages += 1
-        return MapResult(new_block=True, kicks=kicks)
+        return _FILLED
 
     def unmap(self, vpn: int) -> bool:
         """Remove the mapping for the page containing ``vpn``."""
@@ -99,6 +128,9 @@ class ClusteredHashedPageTable:
         entries[sub] = None
         self.mapped_pages -= 1
         if all(e is None for e in entries):
+            # The memo must never name a deleted line: a later map would
+            # fill a list the table no longer holds.
+            self._memo_block = -1
             self.table.delete(block)
         return True
 

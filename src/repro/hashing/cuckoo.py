@@ -55,6 +55,11 @@ from repro.obs.trace import (
 #: old and new chunks simultaneously).
 StorageFactory = Callable[[int, int], Optional[Storage]]
 
+#: Eager migrations one way may abandon in a row (the target size was
+#: unallocatable even with the old storage released) before the next
+#: attempt raises :class:`TableFullError` instead.
+MAX_EAGER_RETRIES = 64
+
 
 class TableStats:
     """Instrumentation counters for one elastic cuckoo table.
@@ -127,6 +132,8 @@ class ElasticWay:
         self.rollbacks = 0
         self.rehash_examined = 0
         self.rehash_relocated = 0
+        #: Eager migrations abandoned since the way last resized.
+        self.eager_retries = 0
 
     # -- geometry ----------------------------------------------------------
 
@@ -347,6 +354,15 @@ class ElasticCuckooTable:
             storage.put(idx, (key, value))
             self.stats.updates += 1
             return 0
+        return self.insert_new(key, value)
+
+    def insert_new(self, key: int, value: Any) -> int:
+        """Insert ``key``, which the caller knows is absent; return the kicks.
+
+        For a caller that has just looked ``key`` up and missed: it skips
+        the second probe of every way that :meth:`insert` makes.  Inserting
+        a key that is present leaves two copies in the table.
+        """
         self.maintenance()
         way_idx = self.policy.choose_insert_way(self)
         kicks = self._place((key, value), way_idx)
@@ -623,6 +639,7 @@ class ElasticCuckooTable:
 
     def _finish_resize(self, way: ElasticWay) -> None:
         inplace = way.old_storage is None
+        way.eager_retries = 0
         if way.old_storage is not None:
             way.old_storage.release()
             way.old_storage = None
@@ -639,7 +656,20 @@ class ElasticCuckooTable:
 
     def _eager_migrate(self, way: ElasticWay, new_size: int) -> None:
         """Stop-the-world migration for chunk-size transitions that cannot
-        hold old and new storage simultaneously."""
+        hold old and new storage simultaneously.
+
+        Raises :class:`TableFullError`, with the table untouched, once
+        ``way`` has abandoned :data:`MAX_EAGER_RETRIES` eager migrations
+        since it last resized: a target size that keeps failing would
+        otherwise be retried on every kick chain without end.
+        """
+        if way.eager_retries >= MAX_EAGER_RETRIES:
+            raise TableFullError(
+                f"cuckoo table stuck: way {way.index} of the {self.obs_label} "
+                f"table abandoned {way.eager_retries} eager migrations in a row",
+                way=way.index, page_size=self.obs_label,
+                retries=way.eager_retries, size=way.size, new_size=new_size,
+            )
         items = list(self._way_items(way))
         old_size = way.size
         way.storage.release()
@@ -664,6 +694,9 @@ class ElasticCuckooTable:
                     abandoned_size=new_size,
                 )
             new_size = old_size
+            way.eager_retries += 1
+        else:
+            way.eager_retries = 0
         way.storage = new_storage
         way.size = new_size
         way.old_size = None

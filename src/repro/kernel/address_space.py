@@ -15,10 +15,10 @@ The fault handler is where the page-table organizations differ in *cost*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, MEHPTError
-from repro.kernel.thp import PAGES_PER_2M, ThpPolicy
+from repro.kernel.thp import PAGES_PER_2M, REGION_SHIFT, ThpPolicy
 from repro.mem.alloc_cost import AllocationCostModel
 from repro.obs.trace import EVENT_FAULT_SERVICED
 
@@ -77,14 +77,6 @@ class FaultTotals:
     pages_mapped_4k: int = 0
     pages_mapped_2m: int = 0
 
-    def absorb(self, result: FaultResult) -> None:
-        self.faults += 1
-        self.cycles += result.cycles
-        self.data_alloc_cycles += result.data_alloc_cycles
-        self.pt_alloc_cycles += result.pt_alloc_cycles
-        self.reinsert_cycles += result.reinsert_cycles
-        self.kicks += result.kicks
-
 
 class AddressSpace:
     """One process's virtual address space over any page-table organization.
@@ -94,8 +86,13 @@ class AddressSpace:
     (:class:`~repro.ecpt.tables.HashedPageTableSet`) organizations both
     provide ``map``/``translate``.  An ``allocation_cycles()`` method, if
     the organization has one, reports its cumulative page-table
-    allocation cycles so the fault handler can charge deltas; radix has
-    none and is charged per new 4KB node instead.
+    allocation cycles so the fault handler can charge deltas, and its
+    ``map`` returns a :class:`~repro.hashing.clustered.MapResult`; radix
+    has none, its ``map`` returns the number of new 4KB nodes, and it is
+    charged per node instead.
+
+    The THP policy, cost model, FMFI and cycle constants are read once
+    here: the fault handler precomputes its per-page-size charges.
     """
 
     def __init__(
@@ -125,6 +122,22 @@ class AddressSpace:
         self.vmas: List[Vma] = []
         self.totals = FaultTotals()
         self._next_frame = 1 << 20  # synthetic physical frame numbers
+        #: The VMA the last fault hit.  VMAs cannot overlap, so a VPN it
+        #: covers lies in no other VMA.
+        self._last_vma: Optional[Vma] = None
+        #: Whether a fault may map a 2MB page at all.
+        self._thp_on = self.thp.enabled and self.thp.coverage > 0.0
+        fmfi_cost = min(fmfi, self.cost_model.fail_fmfi)
+        #: Cycles to allocate one new radix node; hashed organizations
+        #: report their page-table allocation cycles themselves.
+        self._node_cycles = (
+            self.cost_model.cycles(4096, fmfi_cost) if self._pt_cycles_fn is None else None
+        )
+        #: Data-frame allocation cycles per page size.
+        self._data_cycles = {
+            size: self.cost_model.cycles(pages * 4096, fmfi_cost) if charge_data_alloc else 0.0
+            for size, pages in (("4K", 1), ("2M", PAGES_PER_2M))
+        }
 
     # -- VMA management ------------------------------------------------------
 
@@ -140,8 +153,13 @@ class AddressSpace:
         return vma
 
     def vma_for(self, vpn: int) -> Optional[Vma]:
+        """The VMA covering ``vpn``, or None; tries the last one hit first."""
+        vma = self._last_vma
+        if vma is not None and vma.start_vpn <= vpn < vma.end_vpn:
+            return vma
         for vma in self.vmas:
             if vma.covers(vpn):
+                self._last_vma = vma
                 return vma
         return None
 
@@ -149,15 +167,6 @@ class AddressSpace:
         return sum(vma.pages for vma in self.vmas)
 
     # -- fault handling -----------------------------------------------------
-
-    def _alloc_frames(self, page_size: str) -> int:
-        frames = PAGES_PER_2M if page_size == "2M" else 1
-        frame = self._next_frame
-        # Keep huge frames aligned to their size.
-        if frames > 1 and frame % frames:
-            frame += frames - frame % frames
-        self._next_frame = frame + frames
-        return frame
 
     def handle_fault(self, vpn: int) -> FaultResult:
         """Service a page fault at ``vpn`` (demand paging).
@@ -168,48 +177,49 @@ class AddressSpace:
         vma = self.vma_for(vpn)
         if vma is None:
             raise SegmentationFault(f"access to unmapped vpn {vpn:#x}")
-        page_size = self.thp.page_size_for(vpn)
-        if page_size == "2M":
+        page_size = "4K"
+        map_vpn = vpn
+        if self._thp_on and self.thp.page_size_for(vpn) == "2M":
             # Clip huge mappings to the VMA: fall back to 4KB if the 2MB
             # region pokes outside it (as Linux does).
-            base = self.thp.region_base(vpn)
-            if not (vma.covers(base) and vma.covers(base + PAGES_PER_2M - 1)):
-                page_size = "4K"
-        map_vpn = self.thp.region_base(vpn) if page_size == "2M" else vpn
-        frame = self._alloc_frames(page_size)
+            base = (vpn >> REGION_SHIFT) << REGION_SHIFT
+            if vma.start_vpn <= base and base + PAGES_PER_2M <= vma.end_vpn:
+                page_size = "2M"
+                map_vpn = base
+        frame = self._next_frame
+        if page_size == "2M":
+            # Keep huge frames aligned to their size.
+            if frame % PAGES_PER_2M:
+                frame += PAGES_PER_2M - frame % PAGES_PER_2M
+            self._next_frame = frame + PAGES_PER_2M
+        else:
+            self._next_frame = frame + 1
+        data_cycles = self._data_cycles[page_size]
 
-        data_cycles = 0.0
-        if self.charge_data_alloc:
-            nbytes = (PAGES_PER_2M if page_size == "2M" else 1) * 4096
-            data_cycles = self.cost_model.cycles(
-                nbytes, min(self.fmfi, self.cost_model.fail_fmfi)
-            )
-
-        pt_cycles_before = self._pt_alloc_cycles()
-        result = self.page_tables.map(map_vpn, frame, page_size)
-        pt_cycles = self._pt_alloc_cycles() - pt_cycles_before
-        if isinstance(result, int) and result > 0:
-            # Radix organization: ``result`` new 4KB nodes were allocated.
-            pt_cycles += result * self.cost_model.cycles(
-                4096, min(self.fmfi, self.cost_model.fail_fmfi)
-            )
-        kicks = getattr(result, "kicks", 0) or 0
+        cycles_fn = self._pt_cycles_fn
+        if cycles_fn is None:
+            # Radix: ``map`` returns the number of new 4KB nodes.
+            nodes = self.page_tables.map(map_vpn, frame, page_size)
+            pt_cycles = nodes * self._node_cycles if nodes > 0 else 0.0
+            kicks = 0
+        else:
+            pt_cycles_before = cycles_fn()
+            kicks = self.page_tables.map(map_vpn, frame, page_size).kicks
+            pt_cycles = cycles_fn() - pt_cycles_before
         reinsert = kicks * self.reinsert_cycles
 
         total = self.fault_overhead_cycles + data_cycles + pt_cycles + reinsert
-        fault = FaultResult(
-            page_size=page_size,
-            cycles=total,
-            data_alloc_cycles=data_cycles,
-            pt_alloc_cycles=pt_cycles,
-            reinsert_cycles=reinsert,
-            kicks=kicks,
-        )
-        self.totals.absorb(fault)
+        totals = self.totals
+        totals.faults += 1
+        totals.cycles += total
+        totals.data_alloc_cycles += data_cycles
+        totals.pt_alloc_cycles += pt_cycles
+        totals.reinsert_cycles += reinsert
+        totals.kicks += kicks
         if page_size == "2M":
-            self.totals.pages_mapped_2m += 1
+            totals.pages_mapped_2m += 1
         else:
-            self.totals.pages_mapped_4k += 1
+            totals.pages_mapped_4k += 1
         if self.obs is not None:
             self.obs.emit(
                 EVENT_FAULT_SERVICED,
@@ -217,32 +227,4 @@ class AddressSpace:
                 pt_alloc_cycles=pt_cycles, reinsert_cycles=reinsert,
                 data_alloc_cycles=data_cycles, kicks=kicks,
             )
-        return fault
-
-    def _pt_alloc_cycles(self) -> float:
-        cycles_fn = self._pt_cycles_fn
-        return cycles_fn() if cycles_fn is not None else 0.0
-
-    # -- convenience -------------------------------------------------------
-
-    def touch(self, vpn: int) -> Tuple[int, str]:
-        """Fault ``vpn`` in if needed; return its translation."""
-        translated = self.page_tables.translate(vpn)
-        if translated is None:
-            self.handle_fault(vpn)
-            translated = self.page_tables.translate(vpn)
-        return translated
-
-    def populate(self, vma: Vma) -> None:
-        """Pre-fault every page of ``vma`` (like MAP_POPULATE)."""
-        vpn = vma.start_vpn
-        while vpn < vma.end_vpn:
-            if self.page_tables.translate(vpn) is None:
-                fault = self.handle_fault(vpn)
-                vpn = (
-                    self.thp.region_base(vpn) + PAGES_PER_2M
-                    if fault.page_size == "2M"
-                    else vpn + 1
-                )
-            else:
-                vpn += 1
+        return FaultResult(page_size, total, data_cycles, pt_cycles, reinsert, kicks)

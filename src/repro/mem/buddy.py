@@ -9,6 +9,7 @@ computed over.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Set
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError, SimulationError
@@ -35,9 +36,14 @@ class BuddyAllocator:
         self.max_order = max_order
         top = 1 << max_order
         #: free_lists[k] is the set of start frames of free order-k blocks.
+        #: Mutate it only through this class: ``_heaps`` must follow it.
         self.free_lists: List[Set[int]] = [set() for _ in range(max_order + 1)]
+        #: _heaps[k] is a min-heap holding every start in free_lists[k],
+        #: plus stale starts since removed from it (deleted lazily), so
+        #: :meth:`alloc_order` finds the lowest free start without a scan.
+        self._heaps: List[List[int]] = [[] for _ in range(max_order + 1)]
         for start in range(0, self.total_frames, top):
-            self.free_lists[max_order].add(start)
+            self._add_free(max_order, start)
         #: Allocated blocks: start frame -> order (needed to free correctly).
         self._allocated: Dict[int, int] = {}
 
@@ -81,14 +87,27 @@ class BuddyAllocator:
                 f"no free block of order >= {order} "
                 f"(largest free: {self.largest_free_order()})"
             )
-        start = min(self.free_lists[current])
-        self.free_lists[current].remove(start)
+        free = self.free_lists[current]
+        heap = self._heaps[current]
+        start = heapq.heappop(heap)
+        while start not in free:
+            start = heapq.heappop(heap)
+        free.remove(start)
         while current > order:
             current -= 1
-            buddy = start + (1 << current)
-            self.free_lists[current].add(buddy)
+            self._add_free(current, start + (1 << current))
         self._allocated[start] = order
         return start
+
+    def _add_free(self, order: int, start: int) -> None:
+        free = self.free_lists[order]
+        heap = self._heaps[order]
+        free.add(start)
+        heapq.heappush(heap, start)
+        if len(heap) > 2 * len(free) + 64:
+            # Mostly stale: rebuild from the live set to bound its size.
+            heap[:] = free
+            heapq.heapify(heap)
 
     def alloc_bytes(self, nbytes: int) -> int:
         """Allocate the smallest block covering ``nbytes``; return start frame."""
@@ -107,7 +126,7 @@ class BuddyAllocator:
                 order += 1
             else:
                 break
-        self.free_lists[order].add(start)
+        self._add_free(order, start)
 
     def allocated_blocks(self) -> Dict[int, int]:
         """Return a copy of the allocated {start_frame: order} map."""

@@ -73,6 +73,12 @@ class RadixPageTable:
         self.root = self._new_node()
         self.node_count = 1
         self.mapped_pages = {"4K": 0, "2M": 0, "1G": 0}
+        #: ``vpn >> LEVEL_BITS`` and leaf node of the last 4KB map (-1:
+        #: none).  Nodes are never freed or replaced, and the parent entry
+        #: of a node holding 4KB leaves can never become a 2MB leaf, so
+        #: the node stays the one a full descent would reach.
+        self._memo_prefix = -1
+        self._memo_leaf: Optional[_Node] = None
 
     def _new_node(self) -> _Node:
         # Synthetic physical placement: spread nodes across distinct pages.
@@ -103,6 +109,13 @@ class RadixPageTable:
         ``vpn`` must be aligned for the page size.  Remapping an existing
         page replaces its translation.
         """
+        if page_size == "4K" and vpn >> LEVEL_BITS == self._memo_prefix:
+            entries = self._memo_leaf.entries
+            leaf_index = vpn & (FANOUT - 1)
+            if leaf_index not in entries:
+                self.mapped_pages["4K"] += 1
+            entries[leaf_index] = _Leaf(ppn, "4K")
+            return 0
         if page_size not in PAGE_SIZE_BITS:
             raise ConfigurationError(f"unknown page size {page_size!r}")
         if vpn != self.align_vpn(vpn, page_size):
@@ -132,6 +145,9 @@ class RadixPageTable:
             )
         node.entries[leaf_index] = _Leaf(ppn, page_size)
         self.node_count += created
+        if page_size == "4K":
+            self._memo_prefix = vpn >> LEVEL_BITS
+            self._memo_leaf = node
         return created
 
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:

@@ -21,6 +21,7 @@ from repro.common.errors import (
     EngineDivergenceError,
     OutOfMemoryError,
     SimulationError,
+    TableFullError,
     TransientAllocationError,
 )
 from repro.common.rng import DeterministicRng
@@ -32,6 +33,7 @@ from repro.faults import (
     DEFAULT_RECOVERY,
     EVENT_ABORT,
     EVENT_DEGRADE_OOP,
+    EVENT_EAGER_RETRY,
     EVENT_FALLBACK,
     EVENT_FAULT,
     EVENT_RETRY,
@@ -46,7 +48,7 @@ from repro.faults import (
     FaultSpec,
     RecoveryPolicy,
 )
-from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
+from repro.hashing.cuckoo import MAX_EAGER_RETRIES, ElasticCuckooTable, ElasticWay
 from repro.hashing.hashes import HashFamily
 from repro.hashing.policies import AllWayResizePolicy
 from repro.hashing.storage import (
@@ -588,6 +590,73 @@ class TestInvariantDetection:
         l2p = L2PTable(3)
         assert l2p.subtable(0, "4K").reserve(40)
         l2p.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# Bounded eager-migration retries
+# ---------------------------------------------------------------------------
+
+
+class TestEagerRetryBudget:
+    def _table(self, grow):
+        table = make_chunked_table(initial_slots=16)
+        table.inplace_enabled = False  # every resize asks the factory
+        original = table.storage_factory
+        current = {way.index: way.size for way in table.ways}
+
+        def factory(way_index, slots):
+            # None sends a resize eager; inside the eager migration a
+            # target size that may not grow fails again.
+            if slots == current[way_index] or grow():
+                current[way_index] = slots
+                return original(way_index, slots)
+            return None
+
+        table.storage_factory = factory
+        table.obs_label = "4K"
+        return table
+
+    def test_abandoned_migrations_raise_table_full(self):
+        table = self._table(grow=lambda: False)
+        with pytest.raises(TableFullError) as info:
+            for key in range(10_000):
+                table.insert(key, key)
+        context = info.value.context
+        assert context["retries"] == MAX_EAGER_RETRIES
+        assert context["page_size"] == "4K"
+        assert table.ways[context["way"]].eager_retries == MAX_EAGER_RETRIES
+        assert "stuck" in str(info.value)
+
+    def test_successful_resize_resets_the_budget(self):
+        allowed = {"grow": False}
+        table = self._table(grow=lambda: allowed["grow"])
+        for key in range(40):
+            table.insert(key, key)
+        assert max(way.eager_retries for way in table.ways) > 0
+        allowed["grow"] = True
+        for key in range(40, 400):
+            table.insert(key, key)
+        assert all(way.eager_retries == 0 for way in table.ways)
+        table.check_invariants()
+
+    def test_unresizable_populate_aborts_quickly(self):
+        from repro.experiments.runner import ExperimentSettings
+        from repro.fuzz.runner import CLASS_ABORT_TABLE_FULL, classify_failure_reason
+        from repro.sim.simulator import memory_result
+        from repro.workloads import get_workload
+
+        # Every >=1MB chunk allocation fails: ME-HPT's ways can never move
+        # up the chunk ladder, and each resize is abandoned.
+        plan = FaultPlan([FaultSpec(SITE_CHUNK_ALLOC, every=1, min_bytes=1 * MB)], seed=1)
+        settings = ExperimentSettings(scale=1024, seed=1)
+        config = settings.config("mehpt", thp=False, fault_plan=plan)
+        system = config.build(get_workload("GUPS", scale=1024, seed=1))
+        result = memory_result(system)
+        assert result.failed
+        assert classify_failure_reason(result.failure_reason) == CLASS_ABORT_TABLE_FULL
+        # At most a full budget for each of 3 ways in the 3 page sizes.
+        retries = system.degradation.count(EVENT_EAGER_RETRY)
+        assert MAX_EAGER_RETRIES <= retries <= 3 * 3 * MAX_EAGER_RETRIES
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,31 @@ class TestBasicOperations:
             make_contiguous_table(ways=1)
 
 
+@pytest.mark.fastpath
+class TestInsertNew:
+    @pytest.mark.parametrize("make_table", [make_contiguous_table, make_chunked_table])
+    def test_places_exactly_as_insert(self, make_table):
+        # insert() is _find_slot plus insert_new(): for absent keys the
+        # two tables must evolve identically through kicks and resizes.
+        probed, direct = make_table(), make_table()
+        for key in range(0, 3000, 3):
+            assert probed.insert(key, key) == direct.insert_new(key, key)
+        assert probed.stats.kick_histogram == direct.stats.kick_histogram
+        assert probed.stats.rehash_steps == direct.stats.rehash_steps
+        for a, b in zip(probed.ways, direct.ways):
+            assert a.size == b.size and a.count == b.count
+            assert [a.storage.get(i) for i in range(a.storage.size_slots)] == [
+                b.storage.get(i) for i in range(b.storage.size_slots)
+            ]
+        direct.check_invariants()
+
+    def test_updates_still_go_through_insert(self, contiguous_table):
+        contiguous_table.insert_new(10, "a")
+        assert contiguous_table.insert(10, "b") == 0
+        assert contiguous_table.lookup(10) == "b"
+        assert contiguous_table.stats.updates == 1
+
+
 class TestResizingOutOfPlace:
     """ECPT-style behaviour: contiguous ways resize out of place."""
 

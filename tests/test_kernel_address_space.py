@@ -51,6 +51,12 @@ class TestFaultHandling:
         with pytest.raises(SegmentationFault):
             aspace.handle_fault(0x5)
 
+    def test_segfault_just_past_the_vma_last_faulted(self):
+        aspace = make_aspace()
+        aspace.handle_fault(0x10000 + 200_000 - 1)
+        with pytest.raises(SegmentationFault):
+            aspace.handle_fault(0x10000 + 200_000)
+
     def test_thp_fault_maps_whole_region(self):
         aspace = make_aspace(thp=ThpPolicy(enabled=True, coverage=1.0))
         vpn = ((0x10000 // PAGES_PER_2M) + 1) * PAGES_PER_2M + 37
@@ -98,6 +104,28 @@ class TestFaultHandling:
         aspace.handle_fault(0x10000)
         assert aspace.totals.pt_alloc_cycles > 0
 
+    def test_faults_map_whole_vma(self):
+        tables = MeHptPageTables(CostModelAllocator(fmfi=0.3))
+        aspace = AddressSpace(tables, fmfi=0.3)
+        vma = aspace.add_vma(0x40000, 500, "data")
+        for vpn in range(vma.start_vpn, vma.end_vpn):
+            aspace.handle_fault(vpn)
+        assert all(
+            tables.translate(0x40000 + i) is not None for i in range(0, 500, 13)
+        )
+
+    def test_thp_faults_count_huge_pages(self):
+        tables = MeHptPageTables(CostModelAllocator(fmfi=0.3))
+        aspace = AddressSpace(
+            tables, thp=ThpPolicy(enabled=True, coverage=1.0), fmfi=0.3
+        )
+        start = PAGES_PER_2M * 20
+        aspace.add_vma(start, PAGES_PER_2M * 2, "data")
+        for vpn in (start + 7, start + PAGES_PER_2M + 300):
+            assert aspace.handle_fault(vpn).page_size == "2M"
+        assert aspace.totals.pages_mapped_2m == 2
+        assert aspace.totals.pages_mapped_4k == 0
+
     def test_data_alloc_toggle(self):
         with_data = make_aspace(charge_data_alloc=True)
         without = make_aspace(charge_data_alloc=False)
@@ -105,32 +133,3 @@ class TestFaultHandling:
         b = without.handle_fault(0x10000)
         assert a.data_alloc_cycles > 0
         assert b.data_alloc_cycles == 0
-
-
-class TestConvenience:
-    def test_touch_faults_once(self):
-        aspace = make_aspace()
-        first = aspace.touch(0x10010)
-        second = aspace.touch(0x10010)
-        assert first == second
-        assert aspace.totals.faults == 1
-
-    def test_populate_whole_vma(self):
-        tables = MeHptPageTables(CostModelAllocator(fmfi=0.3))
-        aspace = AddressSpace(tables, fmfi=0.3)
-        vma = aspace.add_vma(0x40000, 500, "data")
-        aspace.populate(vma)
-        assert all(
-            tables.translate(0x40000 + i) is not None for i in range(0, 500, 13)
-        )
-
-    def test_populate_with_thp_counts_huge_pages(self):
-        tables = MeHptPageTables(CostModelAllocator(fmfi=0.3))
-        aspace = AddressSpace(
-            tables, thp=ThpPolicy(enabled=True, coverage=1.0), fmfi=0.3
-        )
-        start = PAGES_PER_2M * 20
-        vma = aspace.add_vma(start, PAGES_PER_2M * 2, "data")
-        aspace.populate(vma)
-        assert aspace.totals.pages_mapped_2m == 2
-        assert aspace.totals.pages_mapped_4k == 0

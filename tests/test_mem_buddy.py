@@ -100,3 +100,43 @@ class TestFreeAccounting:
         a = buddy.alloc_order(2)
         blocks = buddy.allocated_blocks()
         assert blocks[a] == 2
+
+
+class TestLowestStart:
+    @staticmethod
+    def _reference_start(buddy, order):
+        # The lowest start of the first non-empty free list at or above
+        # ``order``: what a full min() scan picks.
+        for current in range(order, buddy.max_order + 1):
+            if buddy.free_lists[current]:
+                return min(buddy.free_lists[current])
+        return None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sequence_matches_min_scan(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        buddy = make(4 * MB, max_order=8)
+        held = []
+        for step in range(6000):
+            # Alternate filling and draining phases: memory runs out, and
+            # coalescing leaves many stale heap entries to compact away.
+            free_share = 0.2 if (step // 1000) % 2 == 0 else 0.8
+            if held and rng.random() < free_share:
+                buddy.free(held.pop(rng.randrange(len(held))))
+            else:
+                order = rng.choice((0, 0, 0, 1, 2, 3))
+                expected = self._reference_start(buddy, order)
+                if expected is None:
+                    with pytest.raises(OutOfMemoryError):
+                        buddy.alloc_order(order)
+                    continue
+                assert buddy.alloc_order(order) == expected
+                held.append(expected)
+            if step % 500 == 0:
+                buddy.check_invariants()
+        buddy.check_invariants()
+        for start in held:
+            buddy.free(start)
+        assert buddy.free_frames_at_or_above(buddy.max_order) == buddy.total_frames

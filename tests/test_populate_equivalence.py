@@ -3,9 +3,12 @@
 :func:`repro.sim.simulator.populate_tables` faults each mapping unit once
 and never looks a page up first, charging the lookups it skips.  The
 reference below is the loop it replaced: translate every page and fault
-on a miss.  Both must yield identical memory results *and* identical
-metric snapshots (``cuckoo.lookups`` included), also when the populate
-aborts part-way.
+on a miss.  The reference also runs without the fault path's memos (the
+last cluster line, radix leaf node and VMA), so every map looks its line
+up, descends the tree and scans the VMAs in full.  Both must yield
+identical memory results, identical metric snapshots (``cuckoo.lookups``
+included) and, when traced, byte-identical event streams, also when the
+populate aborts part-way.
 """
 
 import dataclasses
@@ -15,7 +18,10 @@ import pytest
 import repro.sim.simulator as simulator
 from repro.common.errors import ConfigurationError
 from repro.faults.plan import SITE_CHUNK_ALLOC, SITE_CONTIGUOUS_ALLOC, FaultPlan, FaultSpec
+from repro.hashing.clustered import PAGES_PER_BLOCK, ClusteredHashedPageTable
+from repro.kernel.address_space import AddressSpace
 from repro.obs import ObservabilityConfig
+from repro.radix.table import RadixPageTable
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import (
     POPULATE_CHUNK_PAGES,
@@ -65,15 +71,53 @@ def reference_populate(system):
         system.obs.registry.counter("sim.populated_pages").set_total(i)
 
 
-def both_results(monkeypatch, app, **config):
-    """``asdict(memory_result)`` from the reference loop and from the new one."""
+def without_memos(patch):
+    """Clear the map memos before every map and scan every VMA per fault."""
+    hpt_map = ClusteredHashedPageTable.map
+    radix_map = RadixPageTable.map
+
+    def hpt(self, vpn, ppn):
+        self._memo_block = -1
+        return hpt_map(self, vpn, ppn)
+
+    def radix(self, vpn, ppn, page_size="4K"):
+        self._memo_prefix = -1
+        return radix_map(self, vpn, ppn, page_size)
+
+    def vma_for(self, vpn):
+        return next((vma for vma in self.vmas if vma.covers(vpn)), None)
+
+    patch.setattr(ClusteredHashedPageTable, "map", hpt)
+    patch.setattr(RadixPageTable, "map", radix)
+    patch.setattr(AddressSpace, "vma_for", vma_for)
+
+
+def both_results(monkeypatch, app, reshape=None, trace_dir=None, **config):
+    """``asdict(memory_result)`` from the reference loop and from the new one.
+
+    ``reshape(workload, patch)`` may replace the workload's page set or
+    VMA layout for both runs.  With ``trace_dir`` each run also writes
+    its event trace there; the second item of each result is its bytes.
+    """
     workload = get_workload(app, scale=SCALES[app])
-    config = SimulationConfig(scale=SCALES[app], obs=ObservabilityConfig(), **config)
+    if reshape is not None:
+        reshape(workload, monkeypatch)
+
+    def run(name):
+        obs = ObservabilityConfig()
+        if trace_dir is not None:
+            obs = ObservabilityConfig(trace_path=str(trace_dir / f"{name}.jsonl"))
+        cfg = SimulationConfig(scale=SCALES[app], obs=obs, **config)
+        result = dataclasses.asdict(memory_result(cfg.build(workload)))
+        if trace_dir is None:
+            return result
+        return result, (trace_dir / f"{name}.jsonl").read_bytes()
+
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "populate_tables", reference_populate)
-        reference = dataclasses.asdict(memory_result(config.build(workload)))
-    fault_once = dataclasses.asdict(memory_result(config.build(workload)))
-    return reference, fault_once
+        without_memos(patch)
+        reference = run("reference")
+    return reference, run("fault_once")
 
 
 @pytest.mark.parametrize("check_every", [0, 97])
@@ -89,6 +133,55 @@ def test_matches_translate_then_fault(monkeypatch, app, organization, thp, check
     assert not reference["failed"]
     assert reference["metrics"]
     assert fault_once == reference
+
+
+def with_holes(workload, patch):
+    """Drop about a third of the pages: holes inside lines and leaves."""
+    pages = workload.page_set()
+    kept = pages[(pages * 2654435761 >> 5) % 3 != 0]
+    patch.setattr(workload, "page_set", lambda: kept)
+
+
+def split_inside_a_block(workload, patch):
+    """Split the data VMA in two inside a cluster line, two pages apart,
+    so the line (and with THP its 2MB region) straddles both VMAs."""
+    (start, pages, name), = workload.vma_layout()
+    all_pages = workload.page_set()
+    present = set(all_pages.tolist())
+    # From the middle on, the first line with pages on both sides of the
+    # gap [cut, cut + 2) and in it.
+    cut = next(
+        vpn for vpn in all_pages[all_pages.size // 2:].tolist()
+        if vpn % PAGES_PER_BLOCK == 3 and vpn - 3 in present and vpn + 4 in present
+    )
+    layout = [(start, cut - start, name), (cut + 2, start + pages - cut - 2, name + "-hi")]
+    patch.setattr(workload, "vma_layout", lambda: layout)
+    kept = all_pages[(all_pages < cut) | (all_pages >= cut + 2)]
+    patch.setattr(workload, "page_set", lambda: kept)
+
+
+@pytest.mark.parametrize("reshape", [with_holes, split_inside_a_block])
+@pytest.mark.parametrize("thp", [False, True])
+@pytest.mark.parametrize("organization", ["radix", "ecpt", "mehpt"])
+def test_reshaped_page_sets_match(monkeypatch, organization, thp, reshape):
+    reference, fault_once = both_results(
+        monkeypatch, "GUPS", reshape=reshape,
+        organization=organization, thp_enabled=thp, invariant_check_every=97,
+    )
+    assert not reference["failed"]
+    assert fault_once == reference
+
+
+@pytest.mark.parametrize("thp", [False, True])
+@pytest.mark.parametrize("organization", ["radix", "ecpt", "mehpt"])
+def test_traced_events_match(monkeypatch, tmp_path, organization, thp):
+    (reference, ref_trace), (fault_once, trace) = both_results(
+        monkeypatch, "MUMmer", reshape=with_holes, trace_dir=tmp_path,
+        organization=organization, thp_enabled=thp,
+    )
+    assert fault_once == reference
+    assert b'"fault_serviced"' in ref_trace
+    assert trace == ref_trace
 
 
 def test_ecpt_contiguous_abort_matches(monkeypatch):

@@ -128,3 +128,57 @@ class TestIteration:
         table.map(512 * 100, 1234, "2M")
         expected.add((512 * 100, 1234, "2M"))
         assert set(table.iter_mappings()) == expected
+
+
+class MemoFreeRadix(RadixPageTable):
+    """The radix table with its leaf memo cleared before every map."""
+
+    def map(self, vpn, ppn, page_size="4K"):
+        self._memo_prefix = -1
+        return super().map(vpn, ppn, page_size)
+
+
+@pytest.mark.fastpath
+class TestMapMemo:
+    def test_2m_map_over_memoized_leaf_rejected(self):
+        table = RadixPageTable()
+        table.map(512 * 9 + 5, 1)  # memoizes the leaf node of region 9
+        with pytest.raises(ConfigurationError):
+            table.map(512 * 9, 2, "2M")
+        table.map(512 * 9 + 6, 3)  # the memo still serves the region
+        assert table.translate(512 * 9 + 6) == (3, "4K")
+        assert table.translate(512 * 9) is None
+
+    def test_unmap_and_remap_in_memoized_leaf(self):
+        table = RadixPageTable()
+        table.map(100, 1)
+        table.map(101, 2)
+        assert table.unmap(100)
+        assert table.map(100, 3) == 0
+        assert table.translate(100) == (3, "4K")
+        assert table.mapped_pages["4K"] == 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_memo_free_map(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        table, ref = RadixPageTable(), MemoFreeRadix()
+        for step in range(4000):
+            roll = rng.random()
+            vpn = rng.randrange(1 << 14)
+            if roll < 0.1:
+                assert table.unmap(vpn) == ref.unmap(vpn)
+                continue
+            size = "2M" if roll < 0.15 else "4K"
+            vpn = RadixPageTable.align_vpn(vpn, size)
+            outcomes = []
+            for t in (table, ref):
+                try:
+                    outcomes.append(t.map(vpn, step, size))
+                except ConfigurationError:
+                    outcomes.append("rejected")
+            assert outcomes[0] == outcomes[1]
+        assert list(table.iter_mappings()) == list(ref.iter_mappings())
+        assert table.node_count == ref.node_count
+        assert table.mapped_pages == ref.mapped_pages
