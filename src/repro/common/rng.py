@@ -46,10 +46,6 @@ class DeterministicRng:
         """Return a uniformly random element of ``seq``."""
         return self._random.choice(seq)
 
-    def shuffle(self, seq: list) -> None:
-        """Shuffle ``seq`` in place."""
-        self._random.shuffle(seq)
-
     def weighted_index(self, weights: Sequence[float]) -> int:
         """Return an index sampled proportionally to ``weights``.
 
@@ -109,14 +105,6 @@ class DeterministicRng:
             else:
                 high = mid
         return low
-
-    def py_random(self) -> random.Random:
-        """Expose the underlying :class:`random.Random` for bulk generation."""
-        return self._random
-
-    def numpy_seed(self) -> int:
-        """Return a 32-bit seed suitable for :class:`numpy.random.Generator`."""
-        return self.seed & 0x7FFFFFFF
 
 
 def make_rng(seed_or_rng: Optional[object], default_seed: int = 0) -> DeterministicRng:

@@ -305,4 +305,16 @@ class MeHptPageTables(HashedPageTableSet):
         return self.l2p.entries_used()
 
     def total_chunk_transitions(self) -> int:
+        """Out-of-place chunk-size transitions across page sizes."""
         return sum(self.chunk_transitions.values())
+
+    def publish_metrics(self, reg, scale: int) -> None:
+        """The cuckoo counters plus L2P usage and per-way chunk sizes."""
+        super().publish_metrics(reg, scale)
+        reg.gauge("l2p.entries_used").set(self.l2p_entries_used())
+        for page_size, count in self.chunk_transitions.items():
+            reg.counter("mehpt.chunk_transitions", size=page_size).set_total(count)
+            for way in self.tables[page_size].table.ways:
+                reg.gauge("mehpt.chunk_bytes", size=page_size, way=way.index).set(
+                    way.storage.chunk_bytes * scale
+                )

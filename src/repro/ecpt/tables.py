@@ -16,7 +16,7 @@ Table I come from.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng, make_rng
@@ -38,6 +38,12 @@ DEFAULT_WAYS = 3
 
 class HashedPageTableSet:
     """Per-process hashed page tables for all supported page sizes."""
+
+    #: The L2P table; only ME-HPT has one (see ``MeHptPageTables.l2p``).
+    l2p = None
+    #: Hashed tables have no radix nodes: every placement unit is a
+    #: storage allocation, which the allocator sees.
+    node_count = 0
 
     def __init__(
         self,
@@ -128,6 +134,11 @@ class HashedPageTableSet:
         """Cycles spent allocating (and zeroing) page-table memory."""
         return self.allocation_stats.cycles
 
+    def fullscale_alloc_cycles(self, totals, scale: int) -> float:
+        """:meth:`allocation_cycles`: the allocator already accounts at
+        full scale, so neither the fault totals nor the scale apply."""
+        return self.allocation_cycles()
+
     def kick_histogram(self) -> Counter:
         """Merged cuckoo re-insertion histogram across page sizes (Fig 16)."""
         merged: Counter = Counter()
@@ -158,6 +169,70 @@ class HashedPageTableSet:
             for table in self.tables.values()
             for way in table.table.ways
         )
+
+    def l2p_entries_used(self) -> int:
+        """No L2P table: 0 entries (ME-HPT overrides)."""
+        return 0
+
+    def total_chunk_transitions(self) -> int:
+        """Contiguous ways never change chunk size: 0 (ME-HPT overrides)."""
+        return 0
+
+    def teardown_entries(self) -> int:
+        """Entries held across every page size's table."""
+        return sum(len(table.table) for table in self.tables.values())
+
+    def iter_placements(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Live ``(base_line, n_lines, nbytes, handle)`` of every way's storages."""
+        for table in self.tables.values():
+            for way in table.table.ways:
+                for storage in (way.storage, way.old_storage):
+                    if storage is not None:
+                        yield from storage.placements()
+
+    def publish_metrics(self, reg, scale: int) -> None:
+        """Copy every page size's cuckoo counters into a metrics registry
+        (``reg``; byte gauges at full scale)."""
+        for page_size, clustered in self.tables.items():
+            table = clustered.table
+            stats = table.stats
+            reg.counter("cuckoo.inserts", size=page_size).set_total(stats.inserts)
+            reg.counter("cuckoo.lookups", size=page_size).set_total(stats.lookups)
+            reg.counter("cuckoo.rehash_steps", size=page_size).set_total(
+                stats.rehash_steps
+            )
+            reg.counter("cuckoo.rehash_conflicts", size=page_size).set_total(
+                stats.rehash_conflicts
+            )
+            reg.counter("cuckoo.eager_migrations", size=page_size).set_total(
+                stats.eager_migrations
+            )
+            reg.histogram("cuckoo.kick_depth", size=page_size).set_from_bins(
+                stats.kick_histogram
+            )
+            reg.gauge("cuckoo.occupancy", size=page_size).set(table.occupancy())
+            reg.gauge("cuckoo.total_bytes", size=page_size).set(
+                table.total_bytes() * scale
+            )
+            for way in table.ways:
+                labels = {"size": page_size, "way": way.index}
+                reg.gauge("cuckoo.way_occupancy", **labels).set(way.occupancy())
+                reg.gauge("cuckoo.way_bytes", **labels).set(
+                    way.total_bytes() * scale
+                )
+                reg.counter("cuckoo.way_upsizes", **labels).set_total(way.upsizes)
+                reg.counter("cuckoo.way_downsizes", **labels).set_total(
+                    way.downsizes
+                )
+                reg.counter("cuckoo.way_inplace_upsizes", **labels).set_total(
+                    way.inplace_upsizes
+                )
+                reg.counter("cuckoo.way_rollbacks", **labels).set_total(
+                    way.rollbacks
+                )
+                reg.counter("cuckoo.way_rehash_relocated", **labels).set_total(
+                    way.rehash_relocated
+                )
 
     def drain(self) -> None:
         """Finish all in-flight resizes (used by tests and teardown)."""

@@ -81,15 +81,15 @@ class FaultTotals:
 class AddressSpace:
     """One process's virtual address space over any page-table organization.
 
-    ``page_tables`` is duck-typed: radix
+    ``page_tables`` is any organization: radix
     (:class:`~repro.radix.table.RadixPageTable`) and hashed
-    (:class:`~repro.ecpt.tables.HashedPageTableSet`) organizations both
-    provide ``map``/``translate``.  An ``allocation_cycles()`` method, if
-    the organization has one, reports its cumulative page-table
-    allocation cycles so the fault handler can charge deltas, and its
-    ``map`` returns a :class:`~repro.hashing.clustered.MapResult`; radix
-    has none, its ``map`` returns the number of new 4KB nodes, and it is
-    charged per node instead.
+    (:class:`~repro.ecpt.tables.HashedPageTableSet`) tables both provide
+    ``map``/``translate``.  A hashed organization's ``allocation_cycles()``
+    method reports its cumulative page-table allocation cycles so the
+    fault handler can charge deltas, and its ``map`` returns a
+    :class:`~repro.hashing.clustered.MapResult`; radix sets
+    ``allocation_cycles`` to None, its ``map`` returns the number of new
+    4KB nodes, and it is charged per node instead.
 
     The THP policy, cost model, FMFI and cycle constants are read once
     here: the fault handler precomputes its per-page-size charges.
@@ -107,9 +107,9 @@ class AddressSpace:
         obs=None,
     ) -> None:
         self.page_tables = page_tables
-        #: ``page_tables.allocation_cycles`` or None, resolved once here
-        #: because every fault reads it twice.
-        self._pt_cycles_fn = getattr(page_tables, "allocation_cycles", None)
+        #: ``page_tables.allocation_cycles`` (None for radix), resolved
+        #: once here because every fault reads it twice.
+        self._pt_cycles_fn = page_tables.allocation_cycles
         self.thp = thp if thp is not None else ThpPolicy(enabled=False)
         self.cost_model = cost_model if cost_model is not None else AllocationCostModel()
         self.fmfi = fmfi

@@ -8,8 +8,6 @@ the process-lifetime operations the multi-process simulator needs.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 import numpy as np
 
 from repro.kernel.address_space import AddressSpace
@@ -20,8 +18,8 @@ class Process:
     """One runnable process with its own translation machinery.
 
     ``trace`` is the process's (possibly very long) virtual-page access
-    stream; the scheduler consumes it in quanta.  ``l2p`` is set for
-    ME-HPT processes and None otherwise — the context-switch model uses
+    stream; the scheduler consumes it in quanta.  ``l2p`` is the page
+    tables' L2P table (ME-HPT) or None — the context-switch model uses
     it to price the L2P save/restore.
     """
 
@@ -31,13 +29,12 @@ class Process:
         address_space: AddressSpace,
         tlb,
         trace: np.ndarray,
-        l2p=None,
     ) -> None:
         self.name = name
         self.address_space = address_space
         self.tlb = tlb
         self.trace = trace
-        self.l2p = l2p
+        self.l2p = address_space.page_tables.l2p
         self.cursor = 0
         self.cycles = 0.0
         self.accesses_done = 0
@@ -80,7 +77,4 @@ class Process:
         global-HPT alternative would need a linear scan of everything —
         the Section II-B argument for per-process tables.
         """
-        tables = getattr(self.address_space.page_tables, "tables", None)
-        if tables is None:
-            return 0
-        return sum(len(t.table) for t in tables.values())
+        return self.address_space.page_tables.teardown_entries()

@@ -10,11 +10,13 @@ component's state into catalogue-validated metrics.
 
 Everything here is duck-typed against the component attributes (``stats``
 objects, lifetime counters) rather than against the classes, so the
-module imports nothing from the simulator and stays a leaf.
+module imports nothing from the simulator and stays a leaf.  The page
+tables publish their own metrics (``publish_metrics``), whatever their
+organization.
 
 All byte quantities are published at full-scale equivalents, matching
 ``MemoryFootprintResult`` (the allocator already accounts at ``scale x``;
-table and way bytes are multiplied back here).
+table and way bytes are multiplied back by the scale).
 """
 
 from __future__ import annotations
@@ -30,12 +32,8 @@ def register_system_metrics(registry: MetricsRegistry, system) -> None:
     _register_walker(registry, system.walker)
     _register_kernel(registry, system.address_space.totals)
     _register_degradation(registry, system.degradation)
-    if system.config.organization == "radix":
-        _register_radix_tables(registry, system.page_tables, scale)
-    else:
-        _register_hashed_tables(registry, system.page_tables, scale)
-        if system.config.organization == "mehpt":
-            _register_mehpt(registry, system.page_tables, scale)
+    tables = system.page_tables
+    registry.add_collector(lambda reg: tables.publish_metrics(reg, scale))
 
 
 def _register_alloc(registry: MetricsRegistry, stats) -> None:
@@ -101,71 +99,5 @@ def _register_degradation(registry: MetricsRegistry, log) -> None:
         for kind, count in sorted(log.counts().items()):
             reg.counter("faults.events", kind=kind).set_total(count)
         reg.counter("faults.recovery_cycles").set_total(log.recovery_cycles)
-
-    registry.add_collector(collect)
-
-
-def _register_radix_tables(registry: MetricsRegistry, tables, scale: int) -> None:
-    def collect(reg: MetricsRegistry) -> None:
-        reg.gauge("radix.table_bytes").set(tables.table_bytes() * scale)
-
-    registry.add_collector(collect)
-
-
-def _register_hashed_tables(registry: MetricsRegistry, tables, scale: int) -> None:
-    def collect(reg: MetricsRegistry) -> None:
-        for page_size, clustered in tables.tables.items():
-            table = clustered.table
-            stats = table.stats
-            reg.counter("cuckoo.inserts", size=page_size).set_total(stats.inserts)
-            reg.counter("cuckoo.lookups", size=page_size).set_total(stats.lookups)
-            reg.counter("cuckoo.rehash_steps", size=page_size).set_total(
-                stats.rehash_steps
-            )
-            reg.counter("cuckoo.rehash_conflicts", size=page_size).set_total(
-                stats.rehash_conflicts
-            )
-            reg.counter("cuckoo.eager_migrations", size=page_size).set_total(
-                stats.eager_migrations
-            )
-            reg.histogram("cuckoo.kick_depth", size=page_size).set_from_bins(
-                stats.kick_histogram
-            )
-            reg.gauge("cuckoo.occupancy", size=page_size).set(table.occupancy())
-            reg.gauge("cuckoo.total_bytes", size=page_size).set(
-                table.total_bytes() * scale
-            )
-            for way in table.ways:
-                labels = {"size": page_size, "way": way.index}
-                reg.gauge("cuckoo.way_occupancy", **labels).set(way.occupancy())
-                reg.gauge("cuckoo.way_bytes", **labels).set(
-                    way.total_bytes() * scale
-                )
-                reg.counter("cuckoo.way_upsizes", **labels).set_total(way.upsizes)
-                reg.counter("cuckoo.way_downsizes", **labels).set_total(
-                    way.downsizes
-                )
-                reg.counter("cuckoo.way_inplace_upsizes", **labels).set_total(
-                    way.inplace_upsizes
-                )
-                reg.counter("cuckoo.way_rollbacks", **labels).set_total(
-                    way.rollbacks
-                )
-                reg.counter("cuckoo.way_rehash_relocated", **labels).set_total(
-                    way.rehash_relocated
-                )
-
-    registry.add_collector(collect)
-
-
-def _register_mehpt(registry: MetricsRegistry, tables, scale: int) -> None:
-    def collect(reg: MetricsRegistry) -> None:
-        reg.gauge("l2p.entries_used").set(tables.l2p_entries_used())
-        for page_size, count in tables.chunk_transitions.items():
-            reg.counter("mehpt.chunk_transitions", size=page_size).set_total(count)
-            for way in tables.tables[page_size].table.ways:
-                reg.gauge("mehpt.chunk_bytes", size=page_size, way=way.index).set(
-                    way.storage.chunk_bytes * scale
-                )
 
     registry.add_collector(collect)

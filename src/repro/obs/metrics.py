@@ -373,11 +373,6 @@ def format_metric_name(base: str, labels: Optional[Dict[str, object]] = None) ->
     return f"{base}[{inner}]"
 
 
-def base_name(full_name: str) -> str:
-    """Strip the label suffix from a full metric name."""
-    return full_name.split("[", 1)[0]
-
-
 def pow2_bin(value: float) -> str:
     """The power-of-two bucket label covering ``value`` (0 and 1 exact)."""
     if value <= 0:
@@ -583,10 +578,6 @@ class MetricsRegistry:
             name: self._metrics[name].to_record()
             for name in sorted(self._metrics)
         }
-
-    def base_names(self) -> List[str]:
-        """Sorted catalogue-level names with at least one instance."""
-        return sorted({base_name(full) for full in self._metrics})
 
     def __contains__(self, full_name: str) -> bool:
         return full_name in self._metrics

@@ -20,9 +20,10 @@ page (Table I, column 3).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import CACHE_LINE, PAGE_4K, PTE_SIZE
 
 #: Entries per node (512 for 4KB nodes of 8-byte entries).
@@ -65,6 +66,12 @@ class RadixPageTable:
     """
 
     _node_ids = itertools.count(1)
+
+    #: Radix tables have no L2P table (ME-HPT's is ``MeHptPageTables.l2p``).
+    l2p = None
+    #: None: radix nodes are not allocated through an allocator.  The
+    #: fault handler charges each new node :meth:`map` reports instead.
+    allocation_cycles = None
 
     def __init__(self, levels: int = 4) -> None:
         if levels not in (4, 5):
@@ -206,10 +213,58 @@ class RadixPageTable:
     def charge_translate_lookups(self, misses: int, hits_2m: int) -> None:
         """Radix :meth:`translate` counts nothing, so there is nothing to charge."""
 
-    def node_line_addrs(self, vpn: int) -> List[int]:
-        """Just the cache-line addresses a full walk of ``vpn`` touches."""
-        _leaf, lines = self.walk(vpn)
-        return lines
+    def check_invariants(self) -> None:
+        """Verify the node count, the per-size leaf counts, leaf placement
+        and the 4KB map memo.
+
+        Every entry index must lie in the node and every leaf at its page
+        size's depth, so the VPN its path spells is aligned for that size.
+        Raises :class:`~repro.common.errors.SimulationError` on the first
+        violation.
+        """
+        nodes = 0
+        leaves = dict.fromkeys(self.mapped_pages, 0)
+        stack = [(self.root, 1)]  # (node, depth of its entries)
+        while stack:
+            node, depth = stack.pop()
+            nodes += 1
+            for index, entry in node.entries.items():
+                if not 0 <= index < FANOUT:
+                    raise SimulationError(
+                        "radix entry index outside the node",
+                        component="radix_tree", node=node.addr, index=index,
+                    )
+                if isinstance(entry, _Node):
+                    stack.append((entry, depth + 1))
+                elif (
+                    entry.page_size in leaves
+                    and depth == self._leaf_depth(entry.page_size)
+                ):
+                    leaves[entry.page_size] += 1
+                else:
+                    raise SimulationError(
+                        "radix leaf not at its page size's depth",
+                        component="radix_tree", node=node.addr, index=index,
+                        page_size=entry.page_size, depth=depth,
+                    )
+        if nodes != self.node_count:
+            raise SimulationError(
+                "radix node count does not match reachable nodes",
+                component="radix_tree", tracked=self.node_count, counted=nodes,
+            )
+        if leaves != self.mapped_pages:
+            raise SimulationError(
+                "radix mapped-page counts do not match leaves",
+                component="radix_tree", tracked=dict(self.mapped_pages),
+                counted=leaves,
+            )
+        if self._memo_prefix != -1 and self._memo_leaf is not self.node_for_prefix(
+            self._memo_prefix, self.levels - 1
+        ):
+            raise SimulationError(
+                "radix map memo is not the node its prefix reaches",
+                component="radix_tree", prefix=self._memo_prefix,
+            )
 
     def node_for_prefix(self, prefix: int, depth: int) -> Optional[_Node]:
         """The node probed at level ``depth`` for a VPN whose top index
@@ -233,13 +288,75 @@ class RadixPageTable:
 
     # -- accounting -------------------------------------------------------
 
-    def table_bytes(self) -> int:
+    def total_bytes(self) -> int:
         """Total page-table memory: one 4KB page per node."""
+        return self.node_count * PAGE_4K
+
+    @property
+    def peak_total_bytes(self) -> int:
+        """Nodes are never freed, so the peak is the current size."""
         return self.node_count * PAGE_4K
 
     def max_contiguous_bytes(self) -> int:
         """Largest contiguous allocation a radix table ever needs: one page."""
         return PAGE_4K
+
+    def fullscale_alloc_cycles(self, totals, scale: int) -> float:
+        """Node allocation cycles, charged per fault at scaled node counts
+        (``totals`` is the address space's ``FaultTotals``), at full scale."""
+        return totals.pt_alloc_cycles * scale
+
+    # Radix tables have no hash ways, kicks, rehashing, L2P or chunks.
+
+    def upsizes_per_way(self, page_size: str) -> list:
+        """No ways: an empty list."""
+        return []
+
+    def way_bytes(self, page_size: str) -> list:
+        """No ways: an empty list."""
+        return []
+
+    def moved_fractions(self, page_size: str) -> list:
+        """No ways: an empty list."""
+        return []
+
+    def kick_histogram(self) -> Counter:
+        """No cuckoo kicks: an empty histogram."""
+        return Counter()
+
+    def total_relocated_entries(self) -> int:
+        """No rehashing: 0 entries moved."""
+        return 0
+
+    def l2p_entries_used(self) -> int:
+        """No L2P table: 0 entries."""
+        return 0
+
+    def total_chunk_transitions(self) -> int:
+        """No chunked ways: 0 transitions."""
+        return 0
+
+    def teardown_entries(self) -> int:
+        """Teardown frees whole nodes: 0 entries deleted one by one."""
+        return 0
+
+    def publish_metrics(self, reg, scale: int) -> None:
+        """Copy the table size into a metrics registry (full scale)."""
+        reg.gauge("radix.table_bytes").set(self.total_bytes() * scale)
+
+    def iter_placements(self) -> Iterator[Tuple[int, int, int, None]]:
+        """``(base_line, n_lines, nbytes, None)`` for every node, root first.
+
+        Nodes have no physical backing, so each handle is None; a caller
+        that places units in memory backs them itself.
+        """
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node.addr // CACHE_LINE, PAGE_4K // CACHE_LINE, PAGE_4K, None
+            stack.extend(
+                child for child in node.entries.values() if isinstance(child, _Node)
+            )
 
     def iter_mappings(self) -> Iterator[Tuple[int, int, str]]:
         """Yield (vpn, ppn, page_size) for every mapping."""

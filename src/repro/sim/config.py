@@ -257,6 +257,27 @@ class SimulationConfig:
                 degradation=degradation,
             )
 
+        # The hashed organizations share their table and walker arguments;
+        # ME-HPT adds its chunk ladder, technique switches and L2P latency.
+        hashed = dict(
+            rng=None,
+            ways=self.ways,
+            initial_slots=self.scaled_initial_slots(),
+            hash_seed=self.seed,
+            upsize_threshold=self.upsize_threshold,
+            downsize_threshold=self.downsize_threshold,
+            rehashes_per_insert=self.rehashes_per_insert,
+            allow_downsize=self.allow_downsize,
+            fault_plan=plan,
+            degradation=degradation,
+            obs=obs,
+        )
+        walker_args = dict(
+            pmd_cwc_entries=self.pmd_cwc_entries,
+            pud_cwc_entries=self.pud_cwc_entries,
+            cwc_cycles=self.cwc_cycles,
+            obs=obs,
+        )
         if self.organization == "radix":
             tables = RadixPageTable(levels=self.radix_levels)
             walker = RadixWalker(
@@ -269,52 +290,18 @@ class SimulationConfig:
                 obs=obs,
             )
         elif self.organization == "ecpt":
-            tables = EcptPageTables(
-                allocator,
-                rng=None,
-                ways=self.ways,
-                initial_slots=self.scaled_initial_slots(),
-                hash_seed=self.seed,
-                upsize_threshold=self.upsize_threshold,
-                downsize_threshold=self.downsize_threshold,
-                rehashes_per_insert=self.rehashes_per_insert,
-                allow_downsize=self.allow_downsize,
-                fault_plan=plan,
-                degradation=degradation,
-                obs=obs,
-            )
-            walker = EcptWalker(
-                tables, caches,
-                pmd_cwc_entries=self.pmd_cwc_entries,
-                pud_cwc_entries=self.pud_cwc_entries,
-                cwc_cycles=self.cwc_cycles,
-                obs=obs,
-            )
+            tables = EcptPageTables(allocator, **hashed)
+            walker = EcptWalker(tables, caches, **walker_args)
         else:
             tables = MeHptPageTables(
                 allocator,
-                rng=None,
-                ways=self.ways,
-                initial_slots=self.scaled_initial_slots(),
-                hash_seed=self.seed,
-                upsize_threshold=self.upsize_threshold,
-                downsize_threshold=self.downsize_threshold,
-                rehashes_per_insert=self.rehashes_per_insert,
-                allow_downsize=self.allow_downsize,
                 chunk_ladder=self.scaled_ladder(),
                 enable_inplace=self.enable_inplace,
                 enable_perway=self.enable_perway,
-                fault_plan=plan,
-                degradation=degradation,
-                obs=obs,
+                **hashed,
             )
             walker = MeHptWalker(
-                tables, caches,
-                pmd_cwc_entries=self.pmd_cwc_entries,
-                pud_cwc_entries=self.pud_cwc_entries,
-                cwc_cycles=self.cwc_cycles,
-                l2p_cycles=self.l2p_cycles,
-                obs=obs,
+                tables, caches, l2p_cycles=self.l2p_cycles, **walker_args
             )
 
         thp = ThpPolicy(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, EngineDivergenceError, MEHPTError
-from repro.common.units import CACHE_LINE, MB, PAGE_4K
+from repro.common.units import MB
 from repro.kernel.context import ContextSwitchModel
 from repro.kernel.process import Process
 from repro.mem.alloc_cost import AllocationCostModel
@@ -53,9 +53,6 @@ from repro.workloads import get_workload
 #: Prefix marking sweep-cell overrides that parameterize the datacenter
 #: model rather than :class:`~repro.sim.config.SimulationConfig`.
 DC_PREFIX = "dc_"
-
-#: Lines per radix node (one 4KB page of PTEs).
-_NODE_LINES = PAGE_4K // CACHE_LINE
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,8 @@ class Tenant:
         self.touched_cores = {(socket, index % cores_per_socket)}
         #: base_line -> PlacementUnit for every registered unit.
         self.units: Dict[int, PlacementUnit] = {}
-        #: Radix node addr -> pool handle backing it.
+        #: base_line -> pool handle backing a unit the page tables
+        #: yielded without one (a radix node).
         self.node_handles: Dict[int, int] = {}
         self.charged_faults = 0
         self.active = True
@@ -177,16 +175,6 @@ class Tenant:
     def touch(self) -> None:
         """Record the core about to run this tenant's quantum."""
         self.touched_cores.add((self.socket, self.index % self.cores_per_socket))
-
-    def iter_storage_placements(self) -> Iterator[Tuple[int, int, int, int]]:
-        """Live ``(base_line, n_lines, nbytes, handle)`` for hashed tables."""
-        tables = self.system.page_tables
-        for per_size in tables.tables.values():
-            for way in per_size.table.ways:
-                for storage in (way.storage, way.old_storage):
-                    if storage is not None:
-                        for placement in storage.placements():
-                            yield placement
 
 
 class DatacenterSimulator:
@@ -296,7 +284,6 @@ class DatacenterSimulator:
             address_space=system.address_space,
             tlb=system.tlb,
             trace=workload.trace(self.trace_length, seed_offset=index),
-            l2p=getattr(system.page_tables, "l2p", None),
         )
         tenant = Tenant(
             index, app, system, process, pool, socket,
@@ -382,28 +369,19 @@ class DatacenterSimulator:
     # -- placement scanning --------------------------------------------
 
     def _iter_placements(self, tenant: Tenant) -> Iterator[Tuple[int, int, int, int]]:
-        """All live placement units, allocating radix node backing lazily."""
-        if self.config.organization == "radix":
-            tables = tenant.system.page_tables
-            stack = [tables.root]
-            while stack:
-                node = stack.pop()
-                if node.addr not in tenant.node_handles:
-                    # Back the node with a real frame from the shared
-                    # pools so placement (and fault injection) is live.
-                    tenant.node_handles[node.addr] = tenant.pool.alloc(PAGE_4K)
-                yield (
-                    node.addr // CACHE_LINE,
-                    _NODE_LINES,
-                    PAGE_4K,
-                    tenant.node_handles[node.addr],
-                )
-                for child in node.entries.values():
-                    if hasattr(child, "entries"):
-                        stack.append(child)
-        else:
-            for placement in tenant.iter_storage_placements():
-                yield placement
+        """All live placement units, backing handle-less ones lazily."""
+        handles = tenant.node_handles
+        for base_line, n_lines, nbytes, handle in (
+            tenant.system.page_tables.iter_placements()
+        ):
+            if handle is None:
+                handle = handles.get(base_line)
+                if handle is None:
+                    # Back the unit (a radix node) with a real frame from
+                    # the shared pools so placement (and fault injection)
+                    # is live.
+                    handle = handles[base_line] = tenant.pool.alloc(nbytes)
+            yield base_line, n_lines, nbytes, handle
 
     def _scan_sig(self, tenant: Tenant) -> Tuple[int, int]:
         """Placement-change signature: pool epoch + radix node count.
@@ -414,10 +392,7 @@ class DatacenterSimulator:
         grows the radix tree (bumping ``node_count``), so an unchanged
         signature means the last scan's registrations still hold.
         """
-        return (
-            tenant.pool.alloc_epoch,
-            getattr(tenant.system.page_tables, "node_count", -1),
-        )
+        return (tenant.pool.alloc_epoch, tenant.system.page_tables.node_count)
 
     def _scan_units(self, tenant: Tenant) -> None:
         """Register new units, unregister stale ones (resize shootdown)."""

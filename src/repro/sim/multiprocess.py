@@ -73,14 +73,12 @@ class MultiProcessSimulator:
             workload = get_workload(app, scale=config.scale, seed=config.seed + index)
             system = config.build(workload)
             self._systems.append(system)
-            l2p = getattr(system.page_tables, "l2p", None)
             self.processes.append(
                 Process(
                     name=f"{app}#{index}",
                     address_space=system.address_space,
                     tlb=system.tlb,
                     trace=workload.trace(trace_length, seed_offset=index),
-                    l2p=l2p,
                 )
             )
         # Engine selection (SimulationConfig.engine): per-process

@@ -80,11 +80,8 @@ def check_system_invariants(system: SimulatedSystem, progress: int) -> None:
     Re-raises the :class:`SimulationError` with the simulation progress
     (accesses or pages processed) merged into its structured context.
     """
-    checker = getattr(system.page_tables, "check_invariants", None)
-    if checker is None:
-        return
     try:
-        checker()
+        system.page_tables.check_invariants()
     except SimulationError as exc:
         exc.context.setdefault("progress", progress)
         exc.context.setdefault("organization", system.config.organization)
@@ -180,28 +177,8 @@ def memory_result(system: SimulatedSystem, populate: bool = True) -> MemoryFootp
                     EVENT_ABORT, "populate", error=type(exc).__name__,
                 )
     tables = system.page_tables
+    totals = system.address_space.totals
     scale = config.scale
-    if config.organization == "radix":
-        result = MemoryFootprintResult(
-            workload=workload.spec.name,
-            organization="radix",
-            thp=config.thp_enabled,
-            max_contiguous_bytes=tables.max_contiguous_bytes(),
-            total_pt_bytes=tables.table_bytes() * scale,
-            peak_pt_bytes=tables.table_bytes() * scale,
-            pt_alloc_cycles=system.address_space.totals.pt_alloc_cycles * scale,
-            pages_mapped_4k=system.address_space.totals.pages_mapped_4k,
-            pages_mapped_2m=system.address_space.totals.pages_mapped_2m,
-            failed=failed,
-            failure_reason=reason,
-            degradation_counts=dict(system.degradation.counts()),
-            recovery_cycles=system.degradation.recovery_cycles,
-        )
-        if system.obs is not None:
-            result.metrics = system.obs.snapshot_metrics()
-            system.obs.close()
-        return result
-    # Hashed organizations: the allocator already reports scale-equivalents.
     result = MemoryFootprintResult(
         workload=workload.spec.name,
         organization=config.organization,
@@ -209,21 +186,20 @@ def memory_result(system: SimulatedSystem, populate: bool = True) -> MemoryFootp
         max_contiguous_bytes=tables.max_contiguous_bytes(),
         total_pt_bytes=tables.total_bytes() * scale,
         peak_pt_bytes=tables.peak_total_bytes * scale,
-        pt_alloc_cycles=tables.allocation_cycles(),
-        pages_mapped_4k=system.address_space.totals.pages_mapped_4k,
-        pages_mapped_2m=system.address_space.totals.pages_mapped_2m,
+        pt_alloc_cycles=tables.fullscale_alloc_cycles(totals, scale),
+        pages_mapped_4k=totals.pages_mapped_4k,
+        pages_mapped_2m=totals.pages_mapped_2m,
         upsizes_per_way_4k=tables.upsizes_per_way("4K"),
         way_bytes_4k=[b * scale for b in tables.way_bytes("4K")],
         moved_fractions_4k=tables.moved_fractions("4K"),
+        l2p_entries_used=tables.l2p_entries_used(),
+        chunk_transitions=tables.total_chunk_transitions(),
         kick_histogram=dict(tables.kick_histogram()),
         failed=failed,
         failure_reason=reason,
         degradation_counts=dict(system.degradation.counts()),
         recovery_cycles=system.degradation.recovery_cycles,
     )
-    if config.organization == "mehpt":
-        result.l2p_entries_used = tables.l2p_entries_used()
-        result.chunk_transitions = tables.total_chunk_transitions()
     if system.obs is not None:
         result.metrics = system.obs.snapshot_metrics()
         system.obs.close()
@@ -377,9 +353,8 @@ class TranslationSimulator:
                 rehash_entry_cycles=config.rehash_entry_cycles,
                 fault_overhead_cycles=config.fault_overhead_cycles,
                 l2_hit_cycles=tlb.l2_miss_probe_cycles,
-                pt_alloc_cycles_at_start=(
-                    0.0 if config.organization == "radix"
-                    else tables.allocation_cycles()
+                pt_alloc_cycles_at_start=tables.fullscale_alloc_cycles(
+                    aspace.totals, config.scale
                 ),
             )
             if warmup_events == 0:
@@ -418,27 +393,18 @@ class TranslationSimulator:
         repeats = max(1, self.workload.spec.pattern.page_repeats)
         accesses = max(0, events_done - warmup_events) * repeats
 
+        # The differential OS costs, at full-scale equivalents.
         totals = aspace.totals
-        rehash_moves = 0.0
-        if config.organization == "radix":
-            # Radix node allocations are charged per fault at scaled counts;
-            # convert to full-scale equivalents.
-            pt_alloc = totals.pt_alloc_cycles * config.scale
-            reinsert = 0.0
-            l2p_exposed = 0.0
-        else:
-            pt_alloc = tables.allocation_cycles()
-            reinsert = totals.reinsert_cycles * config.scale
-            rehash_moves = (
-                tables.total_relocated_entries()
-                * config.scale
-                * config.rehash_entry_cycles
-            )
-            l2p_exposed = 0.0
-            if config.organization == "mehpt":
-                l2p_exposed = (
-                    totals.kicks * config.scale * config.l2p_cycles
-                )
+        scale = config.scale
+        pt_alloc = tables.fullscale_alloc_cycles(totals, scale)
+        reinsert = totals.reinsert_cycles * scale
+        relocated = tables.total_relocated_entries()
+        rehash_moves = relocated * scale * config.rehash_entry_cycles
+        # Kicks expose L2P lookups only where there is an L2P table (ME-HPT).
+        l2p_exposed = (
+            totals.kicks * scale * config.l2p_cycles
+            if tables.l2p is not None else 0.0
+        )
         metrics = {}
         if obs is not None:
             # run_end records the simulator's own term values so the
@@ -457,10 +423,7 @@ class TranslationSimulator:
                 reinsert_cycles=reinsert,
                 l2p_exposed_cycles=l2p_exposed,
                 rehash_move_cycles=rehash_moves,
-                relocated_entries=(
-                    0 if config.organization == "radix"
-                    else tables.total_relocated_entries()
-                ),
+                relocated_entries=relocated,
             )
             if obs.registry is not None:
                 reg = obs.registry

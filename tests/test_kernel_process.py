@@ -18,7 +18,6 @@ def make_process(app="TC", trace_length=3_000):
         address_space=system.address_space,
         tlb=system.tlb,
         trace=workload.trace(trace_length),
-        l2p=system.page_tables.l2p,
     )
 
 
@@ -74,5 +73,5 @@ class TestTeardown:
         workload = get_workload("TC", scale=SCALE)
         system = SimulationConfig(organization="radix", scale=SCALE).build(workload)
         process = Process("r", system.address_space, system.tlb,
-                          workload.trace(100), l2p=None)
+                          workload.trace(100))
         assert process.teardown_entries() == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import PAGE_4K
 from repro.radix.table import FANOUT, RadixPageTable
 
@@ -70,7 +70,7 @@ class TestMapping:
 
 class TestMemoryAccounting:
     def test_one_node_initially(self):
-        assert RadixPageTable().table_bytes() == PAGE_4K
+        assert RadixPageTable().total_bytes() == PAGE_4K
 
     def test_dense_mapping_node_count(self):
         table = RadixPageTable()
@@ -182,3 +182,61 @@ class TestMapMemo:
         assert list(table.iter_mappings()) == list(ref.iter_mappings())
         assert table.node_count == ref.node_count
         assert table.mapped_pages == ref.mapped_pages
+
+
+class TestCheckInvariants:
+    """``check_invariants`` passes on real tables and catches each corruption."""
+
+    @staticmethod
+    def populated():
+        table = RadixPageTable()
+        for vpn in range(0, 3 * FANOUT, 7):
+            table.map(vpn, vpn)
+        table.map(8 * FANOUT, 1, "2M")
+        table.map(RadixPageTable.align_vpn(1 << 20, "1G"), 2, "1G")
+        table.map(5 * FANOUT + 3, 4)  # leaves the map memo on a fresh leaf node
+        table.check_invariants()
+        return table
+
+    @staticmethod
+    def leaf_node(table, vpn):
+        return table.node_for_prefix(vpn >> 9, table.levels - 1)
+
+    def test_passes_after_maps_and_unmaps(self):
+        table = self.populated()
+        assert table.unmap(7)
+        assert table.unmap(8 * FANOUT, "2M")
+        table.check_invariants()
+
+    def test_node_count_drift(self):
+        table = self.populated()
+        table.node_count += 1
+        with pytest.raises(SimulationError, match="node count"):
+            table.check_invariants()
+
+    def test_mapped_pages_drift(self):
+        table = self.populated()
+        table.mapped_pages["2M"] -= 1
+        with pytest.raises(SimulationError, match="mapped-page counts"):
+            table.check_invariants()
+
+    def test_leaf_at_the_wrong_depth(self):
+        table = self.populated()
+        # A 4KB leaf relabelled as a 2MB page sits one level too deep.
+        self.leaf_node(table, 0).entries[0].page_size = "2M"
+        with pytest.raises(SimulationError, match="depth") as info:
+            table.check_invariants()
+        assert info.value.context["page_size"] == "2M"
+
+    def test_leaf_index_outside_the_node(self):
+        table = self.populated()
+        entries = self.leaf_node(table, 0).entries
+        entries[FANOUT] = entries.pop(0)
+        with pytest.raises(SimulationError, match="index outside"):
+            table.check_invariants()
+
+    def test_stale_map_memo(self):
+        table = self.populated()
+        table._memo_leaf = self.leaf_node(table, 0)
+        with pytest.raises(SimulationError, match="memo"):
+            table.check_invariants()
