@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Multi-process study: context-switch costs of the L2P table (§V-C).
 
-Schedules four processes (two graph apps, MUMmer, TC) round-robin under
-each page-table organization and reports what the switches cost — in
-particular the L2P save/restore that only ME-HPT pays, and how it
-vanishes in a virtualized system.
+Schedules four processes (two graph apps, MUMmer, TC) round-robin on a
+one-socket datacenter under each page-table organization and reports
+what the switches cost — in particular the L2P save/restore that only
+ME-HPT pays, and how it vanishes in a virtualized system.
 
 Run:  python examples/multiprocess_study.py
 """
 
 from repro.kernel.context import ContextSwitchModel
 from repro.sim import SimulationConfig
-from repro.sim.multiprocess import MultiProcessSimulator
+from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
 
 APPS = ["BFS", "TC", "MUMmer", "SSSP"]
 SCALE = 128
@@ -19,11 +19,11 @@ SCALE = 128
 
 def run(org: str, virtualized: bool = False):
     config = SimulationConfig(organization=org, scale=SCALE)
-    sim = MultiProcessSimulator(
+    sim = DatacenterSimulator(
         APPS,
         config,
+        DatacenterParams(sockets=1, processes=len(APPS), quantum=2_000),
         trace_length=20_000,
-        quantum=2_000,
         switch_model=ContextSwitchModel(virtualized=virtualized),
     )
     return sim.run()

@@ -73,39 +73,6 @@ class DeterministicRng:
         # last index that had positive weight.
         return last_positive
 
-    def sample_zipf(self, n: int, alpha: float = 1.0) -> int:
-        """Return an index in [0, n) with a Zipf-like skew.
-
-        Used by workload generators to model skewed page popularity.  The
-        implementation uses inverse-CDF sampling over the harmonic weights,
-        computed lazily per (n, alpha) and cached.
-        """
-        key = (n, alpha)
-        cache = getattr(self, "_zipf_cache", None)
-        if cache is None:
-            cache = {}
-            self._zipf_cache = cache
-        cdf = cache.get(key)
-        if cdf is None:
-            weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            cdf = []
-            for weight in weights:
-                acc += weight / total
-                cdf.append(acc)
-            cache[key] = cdf
-        point = self._random.random()
-        # Binary search the CDF.
-        low, high = 0, n - 1
-        while low < high:
-            mid = (low + high) // 2
-            if cdf[mid] < point:
-                low = mid + 1
-            else:
-                high = mid
-        return low
-
 
 def make_rng(seed_or_rng: Optional[object], default_seed: int = 0) -> DeterministicRng:
     """Coerce ``seed_or_rng`` (None, int, or DeterministicRng) to an RNG."""

@@ -142,14 +142,6 @@ class L2PTable:
             for page_size in PAGE_SIZES
         ]
 
-    def context_switch_cycles(self, cycles_per_entry: int = 4) -> int:
-        """Cycles to save+restore the valid entries on a context switch.
-
-        Only in-use entries are transferred (they cluster at the subtable
-        extremes, Section V-C), once out and once in.
-        """
-        return 2 * self.entries_used() * cycles_per_entry
-
     # -- invariants --------------------------------------------------------
 
     def check_invariants(self) -> None:

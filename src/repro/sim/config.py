@@ -162,12 +162,6 @@ class SimulationConfig:
                 field="engine", value=self.engine,
             )
 
-    def tracing_enabled(self) -> bool:
-        """Whether an event trace sink (file or ring buffer) is configured."""
-        return self.obs is not None and (
-            self.obs.trace_path is not None or self.obs.trace_buffer is not None
-        )
-
     def resolve_engine(self) -> str:
         """The engine the simulator will actually run: scalar or vectorized.
 

@@ -1,14 +1,16 @@
 """The multi-tenant NUMA datacenter simulator.
 
-Grows :class:`~repro.sim.multiprocess.MultiProcessSimulator` into a
-machine model: N sockets with shared fragmented buddy pools
+The simulator's one multi-tenant scheduler, modelling a machine of
+N sockets with shared fragmented buddy pools
 (:mod:`repro.sim.datacenter.topology`), per-tenant
 ME-HPT/ECPT/radix tables placed in those pools, per-socket round-robin
 scheduling with :class:`~repro.kernel.context.ContextSwitchModel`
 switch costs, fork/exec/exit churn, TLB-shootdown accounting
 (:mod:`repro.sim.datacenter.shootdown`), and Mitosis-style
 replication/migration policies
-(:mod:`repro.sim.datacenter.replication`).
+(:mod:`repro.sim.datacenter.replication`).  One socket with one
+process per app is the Section V-C multi-process setting: round-robin
+quanta whose context switches save and restore the ME-HPT L2P table.
 
 Every page-table cache line a walk touches is charged local or remote
 DRAM latency according to where the owning node/chunk physically lives
@@ -101,6 +103,12 @@ class DatacenterParams:
             raise ConfigurationError("dc_max_forks must be >= 0")
         if self.remote_dram_delta < 0:
             raise ConfigurationError("dc_remote_dram_delta must be >= 0")
+        if not float(self.remote_dram_delta).is_integer():
+            # Walk latencies are integer cycles: the vectorized engine's
+            # batched sums are exact only for an integral delta.
+            raise ConfigurationError(
+                f"dc_remote_dram_delta {self.remote_dram_delta} must be integral"
+            )
         if self.pool_mb < 1:
             raise ConfigurationError("dc_pool_mb must be >= 1")
         if not 0.0 <= self.frag_fraction < 1.0:
@@ -230,20 +238,6 @@ class DatacenterSimulator:
         self.failed = False
         self.failure_reason = ""
         self._clock = 0.0
-        # Engine selection (SimulationConfig.engine): "auto" and
-        # "vectorized" run tenant quanta through per-tenant
-        # QuantumEngines sharing one NumaCacheBatch mirror.  A
-        # non-integral remote_dram_delta falls back to the scalar loop
-        # (batched int64 latency sums are only exact for integer
-        # deltas); results are bit-identical either way.
-        self._engine_mode = (
-            "vectorized"
-            if (
-                config.resolve_engine() == "vectorized"
-                and float(self.params.remote_dram_delta).is_integer()
-            )
-            else "scalar"
-        )
         self._cache_batch: Optional[NumaCacheBatch] = None
         #: Engine diagnostics (fastpath.quantum_* metrics).
         self.quantum_runs = 0
@@ -290,7 +284,7 @@ class DatacenterSimulator:
             self.params.cores_per_socket,
         )
         self.tenants.append(tenant)
-        if self._engine_mode == "vectorized":
+        if self.config.resolve_engine() == "vectorized":
             self._attach_engine(tenant)
         self._scan_units(tenant)
         self._emit_lifecycle(tenant, phase)
@@ -584,7 +578,7 @@ class DatacenterSimulator:
         registry.counter("dc.pool_alloc_failures").set_total(
             self.pool_alloc_failures
         )
-        if self._engine_mode == "vectorized":
+        if self.config.resolve_engine() == "vectorized":
             registry.counter("fastpath.quantum_runs").set_total(
                 self.quantum_runs
             )

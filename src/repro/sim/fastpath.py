@@ -11,7 +11,10 @@ materialized — and adds only what single-process replay needs on top:
 the warmup snapshot, the ``invariant_check_every`` cadence, traced event
 synthesis, and the conversion of ``ABORT_ERRORS`` into a
 :class:`~repro.sim.simulator.LoopOutcome`.  Results are **bit-identical**
-to :class:`~repro.sim.simulator.TranslationSimulator`'s scalar loop:
+to :class:`~repro.sim.simulator.TranslationSimulator`'s scalar engine,
+which runs the one reference loop,
+:class:`~repro.kernel.process.AccessLoop`, with its own warmup, abort,
+check and clock handling:
 every ``PerformanceResult`` field, every TLB/cache/walker counter,
 metrics snapshots, abort/warmup accounting, and — when a trace sink is
 attached — the traced event stream byte-for-byte (property-tested in
@@ -170,7 +173,7 @@ def run_vectorized(
 ) -> LoopOutcome:
     """Run the trace through ``system`` with the vectorized engine.
 
-    Mirrors the scalar loop of
+    Mirrors the scalar engine of
     :meth:`~repro.sim.simulator.TranslationSimulator.run` exactly —
     counters, cycles, warmup snapshot, abort accounting, invariant
     checks and traced events — and returns the same :class:`LoopOutcome`.

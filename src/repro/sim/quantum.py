@@ -20,15 +20,17 @@ Two drivers feed the core:
   cadence and traced event synthesis (through the ``checks`` and
   ``on_walks`` hooks, which only that driver sets);
 * :meth:`QuantumEngine.run_quantum` runs one scheduling quantum of a
-  :class:`~repro.kernel.process.Process` for the multi-process and
-  datacenter simulators.  The state survives context switches: nothing
-  outside a process's own accesses touches its TLBs (the datacenter
-  shootdown model is accounting-only).
+  :class:`~repro.kernel.process.Process` for the datacenter simulator.
+  The state survives context switches: nothing outside a process's own
+  accesses touches its TLBs (the datacenter shootdown model is
+  accounting-only).
 
-Both are **bit-identical** to their scalar references
-(:meth:`~repro.sim.simulator.TranslationSimulator.run`'s loop and
-:meth:`~repro.kernel.process.Process.run_quantum`): every counter,
-cycle total, metrics snapshot, traced event and final TLB content.
+Both are **bit-identical** to the one scalar reference loop,
+:class:`~repro.kernel.process.AccessLoop` (driven by
+:meth:`~repro.sim.simulator.TranslationSimulator.run`'s scalar engine
+and by :meth:`~repro.kernel.process.Process.run_quantum`): every
+counter, cycle total, metrics snapshot, traced event and final TLB
+content.
 What makes exactness possible:
 
 * Every completed access leaves its tag at the MRU position of the TLBs

@@ -29,6 +29,7 @@ from repro.common.errors import (
     TableFullError,
 )
 from repro.faults.log import EVENT_ABORT
+from repro.kernel.process import AccessLoop
 from repro.kernel.thp import REGION_SHIFT
 from repro.obs.trace import (
     EVENT_MEASURE_START,
@@ -251,16 +252,19 @@ class TranslationSimulator:
     ) -> LoopOutcome:
         """The per-access reference engine (the oracle for equivalence).
 
-        Feeds from :meth:`~repro.workloads.base.Workload.trace_chunks`
-        so even scalar runs never materialize the whole trace.
+        Streams :meth:`~repro.workloads.base.Workload.trace_chunks`
+        through :class:`~repro.kernel.process.AccessLoop` in segments
+        that end at the warmup boundary and after every
+        ``invariant_check_every``-th access, so the snapshot and each
+        check see the state right after their access.
         """
         tlb = system.tlb
-        aspace = system.address_space
         obs = system.obs
         out = LoopOutcome()
-        translate_fn = tlb.translate
-        fault_fn = aspace.handle_fault
+        loop = AccessLoop(tlb, system.address_space)
         check_every = self.config.invariant_check_every
+        # Completed-access count after which the next check runs.
+        next_check = check_every + 1 if check_every else -1
         # The sim-cycle clock only stamps trace events; skip the
         # per-access advance when no trace sink is attached.
         clock = (
@@ -268,47 +272,43 @@ class TranslationSimulator:
             if obs is not None and obs.tracer is not None
             else None
         )
-        total_cycles = 0.0
-        events_done = 0
-        i = 0
+        done = 0
         try:
             for chunk in self.workload.trace_chunks(
                 self.trace_length, self.engine_chunk or DEFAULT_TRACE_CHUNK
             ):
-                for vpn in chunk.tolist():
-                    outcome = translate_fn(vpn)
-                    total_cycles += outcome.cycles
-                    if outcome.level == "fault":
-                        fault = fault_fn(vpn)
-                        tlb.fill(
-                            vpn if fault.page_size != "2M"
-                            else aspace.thp.region_base(vpn),
-                            fault.page_size,
-                        )
-                    if check_every and i % check_every == 0 and i:
-                        check_system_invariants(system, i)
-                    if clock is not None:
-                        # The sim-cycle clock is the accumulated translation
-                        # cost; events emitted while servicing access i carry
-                        # the clock at the access's start.
-                        clock(int(total_cycles))
-                    i += 1
-                    events_done = i
-                    if events_done == warmup_events:
-                        out.warm_cycles = total_cycles
+                vpns = chunk.tolist()
+                base = done
+                end = base + len(vpns)
+                while done < end:
+                    stop = end
+                    if next_check > 0:
+                        stop = min(stop, next_check)
+                    if done < warmup_events:
+                        stop = min(stop, warmup_events)
+                    out.total_cycles = loop.run(
+                        vpns[done - base:stop - base], out.total_cycles, clock
+                    )
+                    done = stop
+                    if done == next_check:
+                        check_system_invariants(system, done - 1)
+                        next_check += check_every
+                    if done == warmup_events:
+                        out.warm_cycles = out.total_cycles
                         out.warm_l1, out.warm_l2 = tlb.l1_hits, tlb.l2_hits
                         out.warm_walks, out.warm_faults = tlb.walks, tlb.faults
                         if obs is not None:
-                            obs.emit(EVENT_MEASURE_START, event=events_done)
+                            obs.emit(EVENT_MEASURE_START, event=done)
         except ABORT_ERRORS as exc:
+            done += loop.done
+            out.total_cycles = loop.cycles
             out.failed = True
             out.reason = str(exc)
             if not isinstance(exc, ContiguousAllocationError):
                 system.degradation.record(
                     EVENT_ABORT, "trace", error=type(exc).__name__,
                 )
-        out.events_done = events_done
-        out.total_cycles = total_cycles
+        out.events_done = done
         return out
 
     def run(self) -> PerformanceResult:

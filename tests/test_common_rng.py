@@ -53,19 +53,6 @@ class TestWeightedIndex:
             DeterministicRng(0).weighted_index([0.0, 0.0])
 
 
-class TestZipf:
-    def test_in_range(self):
-        rng = DeterministicRng(5)
-        for _ in range(200):
-            assert 0 <= rng.sample_zipf(100, 1.0) < 100
-
-    def test_skew_toward_low_ranks(self):
-        rng = DeterministicRng(6)
-        samples = [rng.sample_zipf(1000, 1.0) for _ in range(3000)]
-        low = sum(1 for s in samples if s < 100)
-        assert low > len(samples) * 0.3  # far above the uniform 10%
-
-
 class TestMakeRng:
     def test_accepts_none_int_and_rng(self):
         assert isinstance(make_rng(None), DeterministicRng)

@@ -100,9 +100,3 @@ class TestReporting:
         )
         assert usage[(1, "1G")] == 2
         assert usage[(0, "4K")] == 0
-
-    def test_context_switch_cost_scales_with_usage(self):
-        l2p = L2PTable()
-        assert l2p.context_switch_cycles() == 0
-        l2p.subtable(0, "4K").reserve(53)  # the paper's average usage
-        assert l2p.context_switch_cycles(cycles_per_entry=4) == 2 * 53 * 4

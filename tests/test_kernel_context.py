@@ -1,10 +1,11 @@
 """Unit tests for the context-switch model (repro.kernel.context)."""
 
+import pytest
+
 from repro.core.l2p import L2PTable
 from repro.kernel.context import ContextSwitchModel
 from repro.sim.config import SimulationConfig
 from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
-from repro.sim.multiprocess import MultiProcessSimulator
 
 
 class TestContextSwitchModel:
@@ -45,17 +46,39 @@ class TestContextSwitchModel:
         assert overhead < 500
 
 
+def one_socket_run(model):
+    """Two ME-HPT GUPS processes round-robin on one socket."""
+    config = SimulationConfig(organization="mehpt", scale=512, seed=7)
+    sim = DatacenterSimulator(
+        ["GUPS", "GUPS"], config,
+        DatacenterParams(sockets=1, processes=2, quantum=400),
+        trace_length=1_200, switch_model=model,
+    )
+    return sim.run()
+
+
+class RecordingSwitchModel(ContextSwitchModel):
+    """Logs each switch: L2P entries saved (None: no table) and restored."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.log = []
+
+    def switch_cost(self, outgoing_l2p, incoming_l2p):
+        self.log.append(tuple(
+            None if l2p is None else l2p.entries_used()
+            for l2p in (outgoing_l2p, incoming_l2p)
+        ))
+        return super().switch_cost(outgoing_l2p, incoming_l2p)
+
+
 class TestSwitchAccountingInSchedulers:
     """The model's counters against the schedulers that drive it."""
 
+    @pytest.mark.datacenter
     def test_multiprocess_charges_save_and_restore(self):
         model = ContextSwitchModel(base_cycles=1000, l2p_entry_cycles=4)
-        config = SimulationConfig(organization="mehpt", scale=512, seed=7)
-        sim = MultiProcessSimulator(
-            ["GUPS", "GUPS"], config, trace_length=1_200, quantum=400,
-            switch_model=model,
-        )
-        result = sim.run()
+        result = one_socket_run(model)
         assert result.switches == model.switches > 0
         # Every switch between live ME-HPT processes saves the outgoing
         # L2P and restores the incoming one; the per-switch surcharge
@@ -66,6 +89,21 @@ class TestSwitchAccountingInSchedulers:
         assert result.l2p_switch_cycles > 0
         assert result.mean_l2p_entries > 0
         assert result.to_dict()["switches"] == result.switches
+
+    @pytest.mark.datacenter
+    def test_switch_after_exit_restores_incoming_only(self):
+        # An exited process has nothing left to save: the switch into
+        # the survivor after its sibling's last quantum restores the
+        # incoming L2P and saves none.
+        model = RecordingSwitchModel(base_cycles=1000, l2p_entry_cycles=4)
+        result = one_socket_run(model)
+        # GUPS#0 and GUPS#1 alternate 3 quanta each; GUPS#0 exits after
+        # the 5th dispatch, so the 6th switch has nothing to save.
+        saved = [out is not None for out, _ in model.log]
+        assert saved == [False, True, True, True, True, False]
+        assert result.l2p_switch_cycles == 4 * sum(
+            (out or 0) + restored for out, restored in model.log
+        )
 
     def test_datacenter_churn_deterministic_across_seeds(self):
         def run(seed):

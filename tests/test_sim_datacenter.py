@@ -75,6 +75,7 @@ class TestParams:
             dict(churn_every=-1),
             dict(max_forks=-1),
             dict(remote_dram_delta=-1.0),
+            dict(remote_dram_delta=120.5),
             dict(pool_mb=0),
             dict(frag_fraction=1.0),
         ):

@@ -108,6 +108,31 @@ class TestEngineEquivalence:
             )
             assert scalar == vector
 
+    def test_checks_see_the_state_after_their_access(self, monkeypatch):
+        # Each check reports its access's index and sees the faults
+        # serviced through that access, under either engine.
+        from repro.sim import simulator
+
+        check = simulator.check_system_invariants
+        seen = []
+
+        def recording(system, progress):
+            seen.append((progress, system.address_space.totals.faults))
+            check(system, progress)
+
+        monkeypatch.setattr(simulator, "check_system_invariants", recording)
+        monkeypatch.setattr(
+            "repro.sim.fastpath.check_system_invariants", recording
+        )
+        by_engine = {}
+        for engine in ("scalar", "vectorized"):
+            seen.clear()
+            run_engine(engine, n=3_000, chunk=512, invariant_check_every=100)
+            by_engine[engine] = list(seen)
+        assert by_engine["scalar"] == by_engine["vectorized"]
+        assert [p for p, _ in seen] == list(range(100, 3_000, 100))
+        assert seen[0][1] < seen[-1][1]  # faults land between checks
+
 
 class TestAbortWarmupBoundary:
     """Satellite of PR 7: the abort path's warmup-snapshot condition.

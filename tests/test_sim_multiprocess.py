@@ -1,24 +1,31 @@
-"""Unit tests for the multi-process simulation (repro.sim.multiprocess)."""
+"""Section V-C multi-process scheduling on a one-socket datacenter.
+
+Several processes share one socket round-robin; every context switch
+saves the outgoing and restores the incoming ME-HPT L2P table
+(:class:`repro.kernel.context.ContextSwitchModel`).
+"""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.kernel.context import ContextSwitchModel
 from repro.sim.config import SimulationConfig
-from repro.sim.multiprocess import MultiProcessSimulator
+from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
+
+pytestmark = pytest.mark.datacenter
 
 SCALE = 256
 
 
-def make_sim(org="mehpt", apps=("TC", "MUMmer"), virtualized=False, **kwargs):
+def make_sim(org="mehpt", apps=("TC", "MUMmer"), virtualized=False,
+             trace_length=6_000, quantum=1_000):
     config = SimulationConfig(organization=org, scale=SCALE)
-    return MultiProcessSimulator(
+    return DatacenterSimulator(
         list(apps),
         config,
-        trace_length=kwargs.pop("trace_length", 6_000),
-        quantum=kwargs.pop("quantum", 1_000),
+        DatacenterParams(sockets=1, processes=len(apps), quantum=quantum),
+        trace_length=trace_length,
         switch_model=ContextSwitchModel(virtualized=virtualized),
-        **kwargs,
     )
 
 
@@ -26,9 +33,10 @@ class TestScheduling:
     def test_all_processes_complete(self):
         sim = make_sim()
         result = sim.run()
-        assert all(p.finished for p in sim.processes)
-        assert all(p.accesses_done == 6_000 for p in sim.processes)
+        assert all(t.process.finished for t in sim.tenants)
+        assert all(t.process.accesses_done == 6_000 for t in sim.tenants)
         assert result.processes == 2
+        assert result.exits == 2 and not result.failed
 
     def test_switch_count_round_robin(self):
         sim = make_sim(trace_length=4_000, quantum=1_000)
@@ -72,6 +80,6 @@ class TestSectionVC:
         sim.run()
         # Per-process tables: the entries to reclaim are exactly the
         # process's own (no global scan over other processes' entries).
-        entries = [p.teardown_entries() for p in sim.processes]
+        entries = [t.process.teardown_entries() for t in sim.tenants]
         assert all(e > 0 for e in entries)
         assert entries[0] != sum(entries)  # not a shared global table
